@@ -468,97 +468,6 @@ void print_cache_study() {
             "engine)\n");
 }
 
-// Flat-state A/B: the CSP data-layout gate (PruningOptions::csp_flat_state
-// -> CspOptions::flat_state). The flat side swaps the inner loop's state
-// for arena-backed structure-of-arrays with counter-based nogood
-// propagation; its contract is bit-identity — statuses, costs, nodes_total
-// and backjumps must match the legacy side exactly, with the wall clock
-// (and the per-stage csp_dispatch ns/node this table reports) as the only
-// difference. Budgets are node/combo-bound, never the clock, so the window
-// both sides resolve is deterministic. Any drift sets the process exit
-// code: the CI bench-smoke step runs this section via `--fast`.
-bool g_flat_ab_mismatch = false;
-
-void print_flat_ab_study() {
-  std::puts("=== Flat solver state A/B (csp_flat_state off vs on) ===\n");
-
-  struct Row {
-    std::string name;
-    core::ProblemSpec spec;
-  };
-  std::vector<Row> rows;
-  rows.push_back({"polynom tight", suite_like_spec("polynom", 0, 1)});
-  rows.push_back({"random n=25", random_spec(25, 1025)});
-
-  util::TablePrinter table({"benchmark", "status", "mc", "nodes",
-                            "legacy s", "flat s", "legacy ns/node",
-                            "flat ns/node", "speedup", "match"});
-  for (const Row& row : rows) {
-    core::SynthesisRequest request;
-    request.spec = row.spec;
-    // Screens and bounds off so every windowed set is CSP work (the thing
-    // the gate changes); node/combo budgets keep the section smoke-sized
-    // and make the resolved window a pure function of the spec.
-    request.pruning.static_screens = false;
-    request.pruning.cost_bounds = false;
-    request.limits.csp_node_limit = 60'000;
-    request.limits.max_combos = 48;
-    request.limits.time_limit_seconds = 300;
-    request.observability.metrics = true;
-
-    request.pruning.csp_flat_state = false;
-    util::Timer timer;
-    const core::OptimizeResult legacy = core::synthesize(request).result;
-    const double legacy_s = timer.elapsed_seconds();
-    g_json.add(benchx::record_of("flat_ab/legacy/" + row.name, row.spec, 1,
-                                 legacy, legacy_s));
-
-    request.pruning.csp_flat_state = true;
-    timer.reset();
-    const core::OptimizeResult flat = core::synthesize(request).result;
-    const double flat_s = timer.elapsed_seconds();
-    g_json.add(benchx::record_of("flat_ab/flat/" + row.name, row.spec, 1,
-                                 flat, flat_s));
-
-    const auto ns_per_node = [](const core::OptimizeResult& result) {
-      const long long ns =
-          result.metrics.stage(obs::Stage::kCspDispatch).total_ns;
-      return result.stats.nodes_total > 0
-                 ? static_cast<double>(ns) /
-                       static_cast<double>(result.stats.nodes_total)
-                 : 0.0;
-    };
-    const bool match = legacy.status == flat.status &&
-                       legacy.cost == flat.cost &&
-                       legacy.stats.nodes_total == flat.stats.nodes_total &&
-                       legacy.stats.backjumps == flat.stats.backjumps;
-    if (!match) {
-      g_flat_ab_mismatch = true;
-      std::printf(
-          "MISMATCH on %s: legacy %s/%lld/%ld nodes/%ld bj vs flat "
-          "%s/%lld/%ld nodes/%ld bj\n",
-          row.name.c_str(), core::to_string(legacy.status).c_str(),
-          legacy.cost, legacy.stats.nodes_total, legacy.stats.backjumps,
-          core::to_string(flat.status).c_str(), flat.cost,
-          flat.stats.nodes_total, flat.stats.backjumps);
-    }
-    table.add_row(
-        {row.name, core::to_string(flat.status),
-         flat.has_solution() ? util::format_money(flat.cost)
-                             : std::string("-"),
-         std::to_string(flat.stats.nodes_total),
-         util::format_double(legacy_s, 2), util::format_double(flat_s, 2),
-         util::format_double(ns_per_node(legacy), 1),
-         util::format_double(ns_per_node(flat), 1),
-         util::format_double(legacy_s / std::max(flat_s, 1e-3), 2) + "x",
-         match ? "yes" : "NO"});
-  }
-  benchx::print_table(table, "flat-state bit-identity + node throughput");
-  std::puts("(statuses, costs, nodes and backjumps must be identical — the "
-            "gate only\nchanges the memory layout; ns/node is the "
-            "csp_dispatch stage total over\nnodes_total)\n");
-}
-
 // Lower-bound A/B: the same size-sweep heavy row solved with the
 // branch-and-bound lower bounds off and on. Bound prunes consume dispatch
 // slots exactly like cache/screen skips, so the bounded run resolves the
@@ -1064,10 +973,10 @@ BENCHMARK(BM_HeuristicByOps)->Arg(5)->Arg(10)->Arg(15)->Arg(20)
 // `--json <path>`, `--fast` and `--no-bounds` before google-benchmark sees
 // the argv, then run the reproduction, the parallel-scaling / pruning /
 // bounds / cache sections, and the registered timings. `--fast` runs only
-// the pruning / cache / flat-state / portfolio / service-throughput
-// studies — the subset whose statuses and costs are reproducible under any
-// load, which is what the CI bench-smoke diff checks. `--no-bounds` disables the lower bounds
-// everywhere (the bounds study still runs its own explicit A/B).
+// the pruning / cache / portfolio / service-throughput studies — the
+// subset whose statuses and costs are reproducible under any load, which
+// is what the CI bench-smoke diff checks. `--no-bounds` disables the lower
+// bounds everywhere (the bounds study still runs its own explicit A/B).
 int main(int argc, char** argv) {
   const std::string json_path = ht::benchx::consume_json_flag(argc, argv);
   int threads =
@@ -1094,7 +1003,6 @@ int main(int argc, char** argv) {
   }
   print_pruning_study();
   print_cache_study();
-  print_flat_ab_study();
   print_portfolio_study();
   print_service_throughput_study();
   if (!fast) print_bounds_study();
@@ -1107,10 +1015,6 @@ int main(int argc, char** argv) {
       std::printf("FAILED to write %s\n", json_path.c_str());
       return 1;
     }
-  }
-  if (g_flat_ab_mismatch) {
-    std::puts("flat_ab: bit-identity violated; failing the run");
-    return 1;
   }
   if (g_portfolio_mismatch) {
     std::puts("portfolio: exact-identity/upgrade contract violated; "

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <unordered_set>
@@ -79,8 +78,11 @@ struct RootPlan {
 class Search {
  public:
   Search(const ProblemSpec& spec, const Palettes& palettes,
-         const CspOptions& options)
-      : spec_(spec), options_(options), learning_(options.learning) {
+         const CspOptions& options, bool reference_scan)
+      : spec_(spec),
+        options_(options),
+        learning_(options.learning),
+        reference_scan_(reference_scan) {
     util::check_spec(
         spec.catalog.num_vendors() <= kMaxVendors,
         "csp: catalog exceeds kMaxVendors (see core/problem.hpp)");
@@ -129,26 +131,22 @@ class Search {
     value_cap_ = value_cap;
     value_arena_.resize((copies_.size() + 1) * value_cap_);
     for (int i = 0; i < kMaxVendors; ++i) vendor_rank_[i] = i;
-    // Packed-representation guards: the flat hot path packs cycles into
-    // 15-bit lanes and (degree, copy) into one 40-bit selection key; solves
-    // outside those ranges run the legacy machinery (bit-identical either
-    // way, so the fallback is silent).
-    bool packed_ok = max_lambda_ < util::kSwarCycleLimit &&
-                     copies_.size() < (1u << 20);
-    for (std::size_t c = 0; packed_ok && c < copies_.size(); ++c) {
-      if (degree_[c] > 0xFFFFF) packed_ok = false;
-    }
-    packed_ok_ = packed_ok;
-    flat_sel_ = options.flat_state && packed_ok_;
-    if (flat_sel_) {
-      select_static_.resize(copies_.size());
-      select_key_.resize(copies_.size());
-      for (std::size_t c = 0; c < copies_.size(); ++c) {
-        select_static_[c] =
-            ((0xFFFFFull - static_cast<std::uint64_t>(degree_[c])) << 20) |
-            static_cast<std::uint64_t>(c);
-        select_key_[c] = select_key_of(c);
-      }
+    // Packed formats: nogood literal ranges pack cycles into 15-bit lanes
+    // and selection packs (degree, copy) into one 40-bit key.
+    // ProblemSpec::validate bounds lambda and the op count so both fit.
+    util::check_spec(max_lambda_ < util::kSwarCycleLimit,
+                     "csp: lambda must be below util::kSwarCycleLimit");
+    util::check_spec(spec.graph.num_ops() < kMaxOps,
+                     "csp: op count must be below kMaxOps");
+    select_static_.resize(copies_.size());
+    select_key_.resize(copies_.size());
+    for (std::size_t c = 0; c < copies_.size(); ++c) {
+      util::check_internal(degree_[c] <= 0xFFFFF,
+                           "csp: degree exceeds the selection key");
+      select_static_[c] =
+          ((0xFFFFFull - static_cast<std::uint64_t>(degree_[c])) << 20) |
+          static_cast<std::uint64_t>(c);
+      select_key_[c] = select_key_of(c);
     }
     if (learning_) {
       words_ = (copies_.size() + 63) / 64;
@@ -161,24 +159,16 @@ class Search {
       est_setter_.assign(copies_.size(), -1);
       lst_setter_.assign(copies_.size(), -1);
       by_copy_.resize(copies_.size());
-      if (packed_ok_) by_copy_packed_.resize(copies_.size());
-      flat_mode_ = flat_sel_;
-      watch_mode_ = !flat_mode_ && options.nogood_watch;
-      if (flat_mode_) {
-        cnt_buckets_.resize(copies_.size() * kMaxVendors);
-        // The trail holds raw pointers into ng_count_; learned nogoods grow
-        // it mid-search, so reserve the worst case (imported + learn cap)
-        // up front — growth within capacity never reallocates.
-        const std::size_t max_nogoods =
-            (options.imported != nullptr ? options.imported->size() : 0) +
-            static_cast<std::size_t>(kLearnCap);
-        ng_count_.reserve(max_nogoods);
-        ng_entries_.reserve(max_nogoods);
-      }
-      if (watch_mode_) {
-        watch_buckets_.resize(copies_.size() * kMaxVendors);
-        assign_stamp_.assign(copies_.size(), 0);
-      }
+      by_copy_packed_.resize(copies_.size());
+      cnt_buckets_.resize(copies_.size() * kMaxVendors);
+      // The trail holds raw pointers into ng_count_; learned nogoods grow
+      // it mid-search, so reserve the worst case (imported + learn cap) up
+      // front — growth within capacity never reallocates.
+      const std::size_t max_nogoods =
+          (options.imported != nullptr ? options.imported->size() : 0) +
+          static_cast<std::size_t>(kLearnCap);
+      ng_count_.reserve(max_nogoods);
+      ng_entries_.reserve(max_nogoods);
       if (options.imported != nullptr) {
         for (const CspNogood& nogood : *options.imported) {
           if (!nogood_in_range(nogood)) continue;
@@ -524,26 +514,23 @@ class Search {
     nogoods_.push_back(nogood);
     for (const NogoodLit& lit : nogoods_.back().lits) {
       by_copy_[static_cast<std::size_t>(lit.copy)].push_back(id);
-      if (packed_ok_) {
-        by_copy_packed_[static_cast<std::size_t>(lit.copy)].push_back(
-            pack_lit(lit));
-      }
+      by_copy_packed_[static_cast<std::size_t>(lit.copy)].push_back(
+          pack_lit(lit));
     }
-    if (watch_mode_) watch_nogood(id);
-    if (flat_mode_) index_counters(id);
+    index_counters(id);
   }
 
-  // ---- true-literal-counter nogood index (flat mode) --------------------
+  // ---- true-literal-counter nogood index --------------------------------
   // Per nogood, ng_count_ tracks (an upper bound on) how many of its
   // literals currently hold. Assignments bump the count through static
   // per-(copy, vendor) buckets of packed cycle ranges, trailed like every
   // other search write; a candidate completes the nogood only if the count
   // already covers every literal outside the candidate's copy, so the
-  // check is one bucket scan of branch-free range compares instead of the
-  // watched-literal index's move-and-requeue churn. When a bucket entry
-  // claims completion the solver re-derives the verdict with the reference
-  // scan, keeping conflict sets — and the whole search tree — bit-identical
-  // to scan mode.
+  // check is one bucket scan of branch-free range compares instead of a
+  // scan of every nogood on the copy. Each completion claim is verified
+  // against the nogood's own literals, keeping conflict sets — and the
+  // whole search tree — bit-identical to the reference scan
+  // (nogood_blocks).
   //
   // Counts may run STALE-HIGH, never stale-low: a learned nogood is born
   // with its literals in force, and when those older assignments rewind,
@@ -641,7 +628,7 @@ class Search {
     return true;
   }
 
-  /// Counter-mode counterpart of watched_blocks(): scans the candidate's
+  /// Counter counterpart of nogood_blocks(): scans the candidate's
   /// (copy, vendor) bucket; an entry whose range holds the candidate cycle
   /// and whose count already covers the other copies claims a completion.
   /// Each claim is verified against the nogood's own literals (<= 4 of
@@ -671,18 +658,12 @@ class Search {
     return false;
   }
 
-  // ---- two-watched-literal nogood index ---------------------------------
-  // Each nogood watches two of its literals; a bucket per (copy, vendor)
-  // holds the watches whose literal a candidate assignment on that pair
-  // could make TRUE. Invariant: while a nogood has >= 2 non-TRUE literals,
-  // both watches point at non-TRUE literals; with exactly one non-TRUE
-  // literal, that literal is watched (and the other watch, if TRUE, became
-  // TRUE after every non-watched literal, so the LIFO trail un-TRUEs it
-  // first on backtracking). The invariant guarantees every completion —
-  // "all literals except the candidate's already hold" — is caught at a
-  // watch, where the solver falls back to the reference scan so the
-  // reported conflict set (and hence the whole search tree) is
-  // bit-identical to scan mode.
+  /// True iff copy := (cycle, v) would complete a stored nogood: the
+  /// counter verdict, or the reference scan it must reproduce.
+  bool nogood_check(int copy, int cycle, int v, Conf* conf) {
+    return reference_scan_ ? nogood_blocks(copy, cycle, v, conf)
+                           : counter_blocks(copy, cycle, v, conf);
+  }
 
   std::size_t bucket_index(int copy, int v) const {
     return static_cast<std::size_t>(copy) * kMaxVendors +
@@ -707,104 +688,6 @@ class Search {
              cycle <= lit.cycle_hi;
     }
     return lit_true(lit);
-  }
-
-  void enqueue_watch(int id, int slot, int li) {
-    const NogoodLit& lit =
-        nogoods_[static_cast<std::size_t>(id)].lits[static_cast<std::size_t>(li)];
-    watch_buckets_[bucket_index(lit.copy, lit.vendor)].push_back(
-        WatchRef{id, slot, li});
-  }
-
-  /// Picks initial watches for a freshly stored nogood. Priority: non-TRUE
-  /// literals first (they keep the nogood quiescent), then TRUE literals by
-  /// deepest assignment stamp. Imported nogoods arrive before any
-  /// assignment and watch their first two literals; learned nogoods are
-  /// born with every literal TRUE (they record the conflicting assignments
-  /// in force) and watch the two deepest — the LIFO trail un-assigns those
-  /// first, so by the time the nogood can fire again its non-TRUE literals
-  /// are exactly its watches.
-  void watch_nogood(int id) {
-    const CspNogood& ng = nogoods_[static_cast<std::size_t>(id)];
-    const int n = static_cast<int>(ng.lits.size());
-    const auto key = [&](int li) {
-      const NogoodLit& lit = ng.lits[static_cast<std::size_t>(li)];
-      return lit_true(lit)
-                 ? assign_stamp_[static_cast<std::size_t>(lit.copy)]
-                 : std::numeric_limits<long>::max();
-    };
-    int w0 = 0;
-    for (int li = 1; li < n; ++li) {
-      if (key(li) > key(w0)) w0 = li;
-    }
-    int w1 = -1;
-    for (int li = 0; li < n; ++li) {
-      if (li == w0) continue;
-      if (w1 < 0 || key(li) > key(w1)) w1 = li;
-    }
-    watch_lit_.resize(static_cast<std::size_t>(id) + 1,
-                      std::array<int, 2>{-1, -1});
-    watch_lit_[static_cast<std::size_t>(id)] = {w0, w1};
-    enqueue_watch(id, 0, w0);
-    if (w1 >= 0) enqueue_watch(id, 1, w1);
-  }
-
-  /// Watched-literal counterpart of nogood_blocks(): visits only the
-  /// watches bucketed under (copy, v). Watch moves are never undone on
-  /// backtracking — the invariant above survives rewinds because literals
-  /// un-TRUE in reverse assignment order.
-  bool watched_blocks(int copy, int cycle, int v, Conf* conf) {
-    std::vector<WatchRef>& bucket = watch_buckets_[bucket_index(copy, v)];
-    for (std::size_t i = 0; i < bucket.size();) {
-      const WatchRef ref = bucket[i];
-      const std::size_t id = static_cast<std::size_t>(ref.id);
-      if (watch_lit_[id][static_cast<std::size_t>(ref.slot)] != ref.li) {
-        // The watch moved on; its old bucket entry is deleted lazily.
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        continue;
-      }
-      ++watch_visits_;
-      const CspNogood& ng = nogoods_[id];
-      const NogoodLit& self = ng.lits[static_cast<std::size_t>(ref.li)];
-      if (cycle < self.cycle_lo || cycle > self.cycle_hi) {
-        ++i;
-        continue;
-      }
-      // The candidate makes this watch TRUE: move it to a literal the
-      // candidate leaves non-TRUE, if any.
-      const int other = watch_lit_[id][static_cast<std::size_t>(1 - ref.slot)];
-      int replacement = -1;
-      for (int li = 0; li < static_cast<int>(ng.lits.size()); ++li) {
-        if (li == ref.li || li == other) continue;
-        if (!lit_true_under(ng.lits[static_cast<std::size_t>(li)], copy,
-                            cycle, v)) {
-          replacement = li;
-          break;
-        }
-      }
-      if (replacement >= 0) {
-        watch_lit_[id][static_cast<std::size_t>(ref.slot)] = replacement;
-        enqueue_watch(ref.id, ref.slot, replacement);
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        continue;
-      }
-      if (other < 0 ||
-          lit_true_under(ng.lits[static_cast<std::size_t>(other)], copy,
-                         cycle, v)) {
-        // Every other literal holds under the candidate: some stored
-        // nogood fires. Re-derive the verdict with the reference scan so
-        // the conflict set is bit-identical to scan mode (first fired
-        // nogood in id order).
-        return nogood_blocks(copy, cycle, v, conf);
-      }
-      // Unit: the other watch is the lone literal the candidate leaves
-      // non-TRUE and stays watched, so the completion is caught when its
-      // own copy is tried.
-      ++i;
-    }
-    return false;
   }
 
   /// Records the current wipeout explanation as a nogood if it is small
@@ -840,19 +723,16 @@ class Search {
   bool nogood_blocks(int copy, int cycle, int v, Conf* conf) const {
     const std::vector<int>& ids = by_copy_[static_cast<std::size_t>(copy)];
     const std::uint64_t* packed =
-        packed_ok_ ? by_copy_packed_[static_cast<std::size_t>(copy)].data()
-                   : nullptr;
+        by_copy_packed_[static_cast<std::size_t>(copy)].data();
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (packed != nullptr) {
-        // Branch-free reject on the literal that put this id in the
-        // by-copy list: if the candidate does not even satisfy that
-        // literal, the full check below would fail at it anyway.
-        const std::uint64_t p = packed[i];
-        if (static_cast<int>(p >> 32) != v ||
-            !util::packed_range_contains(static_cast<std::uint32_t>(p),
-                                         cycle)) {
-          continue;
-        }
+      // Branch-free reject on the literal that put this id in the by-copy
+      // list: if the candidate does not even satisfy that literal, the
+      // full check below would fail at it anyway.
+      const std::uint64_t p = packed[i];
+      if (static_cast<int>(p >> 32) != v ||
+          !util::packed_range_contains(static_cast<std::uint32_t>(p),
+                                       cycle)) {
+        continue;
       }
       const int id = ids[i];
       const CspNogood& nogood = nogoods_[static_cast<std::size_t>(id)];
@@ -937,14 +817,10 @@ class Search {
       bool blocked;
       if (record_obs_ && (ng_checks_++ & 63) == 0) {
         const std::int64_t t0 = obs::metrics_now_ns();
-        blocked = flat_mode_ ? counter_blocks(copy, cycle, v, conf)
-                  : watch_mode_ ? watched_blocks(copy, cycle, v, conf)
-                                : nogood_blocks(copy, cycle, v, conf);
+        blocked = nogood_check(copy, cycle, v, conf);
         ng_sampled_ns_ += obs::metrics_now_ns() - t0;
       } else {
-        blocked = flat_mode_ ? counter_blocks(copy, cycle, v, conf)
-                  : watch_mode_ ? watched_blocks(copy, cycle, v, conf)
-                                : nogood_blocks(copy, cycle, v, conf);
+        blocked = nogood_check(copy, cycle, v, conf);
       }
       if (blocked) return false;
     }
@@ -954,20 +830,13 @@ class Search {
     record(&assigned_vendor_[static_cast<std::size_t>(copy)]);
     assigned_cycle_[static_cast<std::size_t>(copy)] = cycle;
     assigned_vendor_[static_cast<std::size_t>(copy)] = v;
-    // Stamps are not trailed: they are only read for assigned copies, and
-    // the counter stays monotone across rewinds.
-    if (watch_mode_) {
-      assign_stamp_[static_cast<std::size_t>(copy)] = ++stamp_counter_;
-    }
     if (learning_) {
       std::uint64_t& word = assigned_bits_[static_cast<std::size_t>(copy) >> 6];
       record_u64(&word);
       word |= 1ull << (copy & 63);
-    }
-    // Flat mode: bump the true-literal counters this assignment satisfies.
-    // Trailed like every other write, so rewinds keep counts exact for any
-    // nogood that existed when the assignment committed.
-    if (flat_mode_) {
+      // Bump the true-literal counters this assignment satisfies. Trailed
+      // like every other write, so rewinds keep counts exact for any
+      // nogood that existed when the assignment committed.
       for (const CntRef& ref : cnt_buckets_[bucket_index(copy, v)]) {
         if (util::packed_range_contains(ref.range, cycle)) {
           int& count = ng_count_[static_cast<std::size_t>(ref.id)];
@@ -1039,11 +908,9 @@ class Search {
         std::uint64_t& mask = allowed_mask_[static_cast<std::size_t>(nb)];
         record_u64(&mask);
         mask &= ~(1ull << v);
-        if (flat_sel_) {
-          std::uint64_t& key = select_key_[static_cast<std::size_t>(nb)];
-          record_u64(&key);
-          key = select_key_of(static_cast<std::size_t>(nb));
-        }
+        std::uint64_t& key = select_key_[static_cast<std::size_t>(nb)];
+        record_u64(&key);
+        key = select_key_of(static_cast<std::size_t>(nb));
         if (mask == 0) {
           // Every palette vendor of nb is forbidden; the first forbidder
           // of each vendor (excluding us) plus us make the wipeout.
@@ -1072,10 +939,8 @@ class Search {
       if (est_[ch] < cycle + meta.latency) {
         record(&est_[ch]);
         est_[ch] = cycle + meta.latency;
-        if (flat_sel_) {
-          record_u64(&select_key_[ch]);
-          select_key_[ch] = select_key_of(ch);
-        }
+        record_u64(&select_key_[ch]);
+        select_key_[ch] = select_key_of(ch);
         if (learning_) {
           record(&est_setter_[ch]);
           est_setter_[ch] = copy;
@@ -1097,10 +962,8 @@ class Search {
       if (lst_[pa] > cycle - parent_latency) {
         record(&lst_[pa]);
         lst_[pa] = cycle - parent_latency;
-        if (flat_sel_) {
-          record_u64(&select_key_[pa]);
-          select_key_[pa] = select_key_of(pa);
-        }
+        record_u64(&select_key_[pa]);
+        select_key_[pa] = select_key_of(pa);
         if (learning_) {
           record(&lst_setter_[pa]);
           lst_setter_[pa] = copy;
@@ -1120,16 +983,15 @@ class Search {
   // ---- search -----------------------------------------------------------
   // Only unassigned copies live in unassigned_ (swap-remove on descent,
   // exact inverse on backtrack), so variable selection never rescans
-  // assigned copies. The comparator is order-independent — (score asc,
-  // degree desc, copy id asc) — and reproduces the historical first-seen
-  // tie-breaking of the ascending full scan exactly.
+  // assigned copies.
   /// Packed selection key: score:24 | (2^20-1 - degree):20 | copy:20,
-  /// ordering by exactly (score asc, degree desc, copy asc). Maintained
-  /// incrementally in select_key_ — recomputed (and trailed) at the three
-  /// assign-time sites that change est/lst/allowed — so the per-node argmin
-  /// is a pure min-scan of precomputed keys. A wipeout makes the window
-  /// momentarily negative and the key garbage, but assign fails and the
-  /// caller rewinds before any select can read it.
+  /// ordering by exactly (score asc, degree desc, copy asc), where score is
+  /// window width times live vendor count. Maintained incrementally in
+  /// select_key_ — recomputed (and trailed) at the three assign-time sites
+  /// that change est/lst/allowed — so the per-node argmin is a pure
+  /// min-scan of precomputed keys. A wipeout makes the window momentarily
+  /// negative and the key garbage, but assign fails and the caller rewinds
+  /// before any select can read it.
   std::uint64_t select_key_of(std::size_t cs) const {
     const std::uint64_t score =
         static_cast<std::uint64_t>(lst_[cs] - est_[cs] + 1) *
@@ -1137,38 +999,15 @@ class Search {
     return (score << 40) | select_static_[cs];
   }
 
+  /// Copies are unique per key, so the minimum key names one variable, and
+  /// the constructor's limits keep every field in range.
   int select_variable() const {
-    if (flat_sel_) {
-      // Copies are unique per key, so the minimum key names the same
-      // variable the legacy comparator picks, with no branches in the
-      // loop. The construction-time guards behind flat_sel_ keep every
-      // field in range.
-      std::uint64_t best_key = ~0ull;
-      for (int c : unassigned_) {
-        const std::uint64_t key = select_key_[static_cast<std::size_t>(c)];
-        if (key < best_key) best_key = key;
-      }
-      return best_key == ~0ull ? -1
-                               : static_cast<int>(best_key & 0xFFFFF);
-    }
-    int best = -1;
-    long best_score = 0;
+    std::uint64_t best_key = ~0ull;
     for (int c : unassigned_) {
-      const std::size_t cs = static_cast<std::size_t>(c);
-      const long window = lst_[cs] - est_[cs] + 1;
-      const long vendors =
-          static_cast<long>(__builtin_popcountll(allowed_mask_[cs]));
-      const long score = window * vendors;
-      if (best < 0 || score < best_score ||
-          (score == best_score &&
-           (degree_[cs] > degree_[static_cast<std::size_t>(best)] ||
-            (degree_[cs] == degree_[static_cast<std::size_t>(best)] &&
-             c < best)))) {
-        best = c;
-        best_score = score;
-      }
+      const std::uint64_t key = select_key_[static_cast<std::size_t>(c)];
+      if (key < best_key) best_key = key;
     }
-    return best;
+    return best_key == ~0ull ? -1 : static_cast<int>(best_key & 0xFFFFF);
   }
 
   void remove_unassigned(int copy) {
@@ -1430,6 +1269,7 @@ class Search {
   const ProblemSpec& spec_;
   const CspOptions& options_;
   const bool learning_;
+  const bool reference_scan_;  // see detail::solve_with_reference_scan
 
   std::vector<CopyMeta> copies_;
   std::map<CopyRef, int> copy_of_;
@@ -1465,9 +1305,6 @@ class Search {
   std::vector<Value> value_arena_;
   std::size_t value_cap_ = 0;  // per-depth capacity (largest root domain)
 
-  // Packed-path gates (see the constructor's guard block).
-  bool packed_ok_ = false;   // cycles/copies/degrees fit the packed formats
-  bool flat_sel_ = false;    // packed-key variable selection active
   std::vector<std::uint64_t> select_static_;  // (~degree):20 | copy:20
   std::vector<std::uint64_t> select_key_;     // see select_key_of
 
@@ -1486,24 +1323,10 @@ class Search {
   int imported_count_ = 0;
   int learned_count_ = 0;
 
-  // True-literal-counter index (flat mode only; see counter_blocks).
-  bool flat_mode_ = false;
+  // True-literal-counter index (learning only; see counter_blocks).
   std::vector<std::vector<CntRef>> cnt_buckets_;  // copy*kMaxVendors+v
   std::vector<int> ng_count_;                // id -> (upper bound on) trues
   std::vector<std::vector<GroupRef>> ng_entries_;  // id -> indexed groups
-
-  // Two-watched-literal index (watch mode only; see watched_blocks).
-  struct WatchRef {
-    int id = 0;    // nogood id
-    int slot = 0;  // which of the nogood's two watches (0/1)
-    int li = 0;    // literal index the watch pointed at when enqueued;
-                   // a mismatch with watch_lit_ marks the entry stale
-  };
-  bool watch_mode_ = false;
-  std::vector<std::vector<WatchRef>> watch_buckets_;  // copy*kMaxVendors+v
-  std::vector<std::array<int, 2>> watch_lit_;  // id -> watched literal idxs
-  std::vector<long> assign_stamp_;  // copy -> counter at last commit
-  long stamp_counter_ = 0;
   long watch_visits_ = 0;
 
   // Nogood-propagation metrics (see assign()). The binding is sampled at
@@ -1531,10 +1354,10 @@ class Search {
 /// winner always run to completion, so the committed solution — and the
 /// exported nogood set — is identical for every lane count.
 CspResult split_solve(const ProblemSpec& spec, const Palettes& palettes,
-                      const CspOptions& options) {
+                      const CspOptions& options, bool reference_scan) {
   RootPlan plan;
   {
-    Search probe(spec, palettes, options);
+    Search probe(spec, palettes, options, reference_scan);
     plan = probe.plan_root();
   }
   if (plan.infeasible || (plan.copy >= 0 && plan.values.empty())) {
@@ -1548,7 +1371,7 @@ CspResult split_solve(const ProblemSpec& spec, const Palettes& palettes,
                           static_cast<std::size_t>(options.subtree_split),
                           plan.values.size()));
   if (blocks <= 1) {
-    Search search(spec, palettes, options);
+    Search search(spec, palettes, options, reference_scan);
     return search.run();
   }
 
@@ -1591,7 +1414,7 @@ CspResult split_solve(const ProblemSpec& spec, const Palettes& palettes,
         // skipped block is always above the final winner).
         if (b > min_solved) continue;
       }
-      Search search(spec, palettes, block_options);
+      Search search(spec, palettes, block_options, reference_scan);
       search.set_internal_cancel(&tokens[static_cast<std::size_t>(b)]);
       search.restrict_root(plan.copy, parts[static_cast<std::size_t>(b)]);
       CspResult result = search.run();
@@ -1677,15 +1500,32 @@ CspResult split_solve(const ProblemSpec& spec, const Palettes& palettes,
   return out;
 }
 
+CspResult solve(const ProblemSpec& spec, const Palettes& palettes,
+                const CspOptions& options, bool reference_scan) {
+  spec.validate();
+  HT_TRACE_SPAN("csp/solve", "max_nodes", options.max_nodes);
+  if (options.subtree_split > 1) {
+    return split_solve(spec, palettes, options, reference_scan);
+  }
+  Search search(spec, palettes, options, reference_scan);
+  return search.run();
+}
+
 }  // namespace
 
 CspResult schedule_and_bind(const ProblemSpec& spec, const Palettes& palettes,
                             const CspOptions& options) {
-  spec.validate();
-  HT_TRACE_SPAN("csp/solve", "max_nodes", options.max_nodes);
-  if (options.subtree_split > 1) return split_solve(spec, palettes, options);
-  Search search(spec, palettes, options);
-  return search.run();
+  return solve(spec, palettes, options, /*reference_scan=*/false);
 }
+
+namespace detail {
+
+CspResult solve_with_reference_scan(const ProblemSpec& spec,
+                                    const Palettes& palettes,
+                                    const CspOptions& options) {
+  return solve(spec, palettes, options, /*reference_scan=*/true);
+}
+
+}  // namespace detail
 
 }  // namespace ht::core

@@ -22,9 +22,10 @@
 //    of assigned copies actually responsible, and backtracking unwinds
 //    straight past decisions that set is independent of;
 //  * nogood learning — small conflict sets are recorded as (copy, cycle,
-//    vendor) nogoods, re-checked during the same solve and exportable via
-//    CspResult::learned for reuse against sibling palettes (core/nogood.hpp
-//    guards them with the palette signature they were proved under);
+//    vendor) nogoods, re-checked during the same solve through
+//    true-literal counters and exportable via CspResult::learned for reuse
+//    against sibling palettes (core/nogood.hpp guards them with the
+//    palette signature they were proved under);
 //  * Luby restarts — with restart_base > 0 the search restarts on a Luby
 //    schedule, re-descending with a seed-dependent vendor preference while
 //    keeping everything it has learned (first descent always canonical);
@@ -124,26 +125,6 @@ struct CspOptions {
   /// Nogoods proved applicable to this palette by the caller (frozen tier
   /// of a NogoodStore); checked during search exactly like learned ones.
   const std::vector<CspNogood>* imported = nullptr;
-  /// Two-watched-literal nogood propagation (learning mode only). Each
-  /// stored nogood watches two of its literals, indexed by (copy, vendor)
-  /// buckets, so a candidate assignment visits only the nogoods whose
-  /// watches it could complete instead of scanning every nogood containing
-  /// the copy. When a visit detects a completion the solver re-derives the
-  /// conflict set with the reference scan, so search trees — nodes,
-  /// backjumps, learned nogoods, first solution — are bit-identical to
-  /// scan mode. Off falls back to the scan-all check (A/B baselines).
-  bool nogood_watch = true;
-  /// Flat structure-of-arrays inner loop. On, the solver runs the packed
-  /// hot path: true-literal-counter nogood propagation (per-(copy, vendor)
-  /// buckets of packed cycle ranges replace the watched-literal index, with
-  /// completions re-derived by the reference scan) and packed-key variable
-  /// selection. Off runs the legacy watched/scan machinery. Either way the
-  /// search tree — nodes, backjumps, statuses, costs, learned nogoods — is
-  /// bit-identical; the gate exists for A/B verification (EngineFlatStateTest,
-  /// the bench flat_ab section) until the legacy side is retired. Solves
-  /// whose lambda or copy count exceed the packed-representation guards
-  /// (util/mask_kernels.hpp) silently run the legacy path.
-  bool flat_state = true;
 };
 
 struct CspResult {
@@ -159,11 +140,9 @@ struct CspResult {
   long nodes = 0;
   long backjumps = 0;  ///< frames skipped past by conflict-directed jumps
   long restarts = 0;   ///< Luby re-descents taken
-  /// Propagation-index entries examined by the nogood propagator: watched-
-  /// literal bucket entries in legacy watch mode, counter-bucket entries in
-  /// flat mode (0 with learning off or with plain scan propagation). The
-  /// scan these replace examined every nogood containing the candidate's
-  /// copy.
+  /// Counter-bucket entries examined by the nogood propagator (0 with
+  /// learning off). The reference scan these replace examined every nogood
+  /// containing the candidate's copy.
   long watch_visits = 0;
   /// Nogoods learned this solve (empty with learning off). Deterministic
   /// for kFeasible / kInfeasible / kNodeLimit outcomes; cleared for
@@ -175,7 +154,22 @@ struct CspResult {
 /// One vendor palette per resource class (indexed by ResourceClass value).
 using Palettes = std::array<std::vector<vendor::VendorId>, dfg::kNumResourceClasses>;
 
+/// Requires spec.validate() to pass, which also bounds lambda and the op
+/// count to the packed formats of the inner loop (core/problem.hpp).
 CspResult schedule_and_bind(const ProblemSpec& spec, const Palettes& palettes,
                             const CspOptions& options = {});
+
+namespace detail {
+
+/// schedule_and_bind with every nogood check answered by the reference
+/// scan (each stored nogood touching the candidate's copy, in id order)
+/// instead of the true-literal counters. The two must agree bit for bit —
+/// status, nodes, backjumps, learned nogoods, first solution; only
+/// watch_visits differs (always 0 here). For tests of that contract only.
+CspResult solve_with_reference_scan(const ProblemSpec& spec,
+                                    const Palettes& palettes,
+                                    const CspOptions& options = {});
+
+}  // namespace detail
 
 }  // namespace ht::core

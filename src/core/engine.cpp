@@ -102,7 +102,6 @@ ComboOutcome evaluate_combo(const ProblemSpec& spec, const Palettes& palettes,
     csp_options.seed = 0;
     csp_options.cancel = request.cancel;
     csp_options.learning = learning;
-    csp_options.flat_state = request.pruning.csp_flat_state;
     csp_options.imported = learning ? imported : nullptr;
     // Deterministic intra-palette parallelism: on big exact solves a single
     // palette's CSP dwarfs the combo loop, so split its root level across
@@ -154,7 +153,6 @@ ComboOutcome evaluate_combo(const ProblemSpec& spec, const Palettes& palettes,
   csp_options.seed = 0;
   csp_options.cancel = request.cancel;
   csp_options.learning = learning;
-  csp_options.flat_state = request.pruning.csp_flat_state;
   if (learning) {
     csp_options.max_nodes = request.limits.heuristic_node_limit *
                             std::max(1, request.limits.heuristic_restarts);

@@ -1,10 +1,10 @@
 // Unified synthesis entry point: one request object, one engine, one
 // response.
 //
-// Historically minimize_cost / minimize_cost_total_latency / area_frontier /
-// reoptimize_without each re-implemented the same outer loop around the
-// license-set search with their own copy of the budget semantics. The
-// engine collapses them behind a single SynthesisRequest that carries the
+// Every operation — cost minimization at fixed or total latency, area and
+// latency frontiers, re-synthesis on a quarantined market — shares one
+// outer loop around the license-set search and one copy of the budget
+// semantics. The engine puts them behind a single SynthesisRequest that carries the
 // operation (RequestKind), the spec, the search budgets, the degree of
 // parallelism, an optional progress callback, and an optional cancel token
 // — and runs the license-set search on a work-stealing thread pool.
@@ -121,13 +121,6 @@ struct PruningOptions {
   /// the combinatorial floor is free and usually as tight on the paper's
   /// markets.
   bool lp_bound = false;
-  /// Flat structure-of-arrays CSP inner loop (CspOptions::flat_state):
-  /// counter-based nogood propagation and packed-key selection. Never
-  /// changes results — either setting produces the same statuses, costs
-  /// and node counts; the knob exists for A/B verification
-  /// (EngineFlatStateTest, the bench flat_ab section) until the legacy
-  /// path is retired.
-  bool csp_flat_state = true;
 };
 
 /// Racing algorithm portfolio (see core/incumbent_pool.hpp and DESIGN.md

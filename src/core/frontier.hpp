@@ -3,9 +3,10 @@
 // The paper reports single (lambda, A) points per benchmark; designers
 // usually want the whole tradeoff curve — how much does tightening the
 // area budget or the schedule length cost in license fees, and where does
-// the constraint become infeasible? These helpers run the optimizer across
-// a constraint sweep and return the labeled points (bench_frontier prints
-// them as series).
+// the constraint become infeasible? SynthesisEngine::sweep_frontier
+// (RequestKind::kAreaFrontier / kLatencyFrontier) runs the optimizer across
+// a constraint sweep and returns these labeled points (bench_frontier
+// prints them as series).
 #pragma once
 
 #include <vector>
@@ -18,23 +19,5 @@ struct FrontierPoint {
   long long constraint = 0;  ///< the swept value (area or total latency)
   OptimizeResult result;
 };
-
-/// Cost as a function of the area bound; everything else fixed by `spec`.
-[[deprecated(
-    "build a SynthesisRequest (RequestKind::kAreaFrontier, sweep_values) "
-    "and call core::synthesize() / SynthesisEngine::run()")]]
-std::vector<FrontierPoint> area_frontier(const ProblemSpec& spec,
-                                         const std::vector<long long>& areas,
-                                         const OptimizerOptions& options = {});
-
-/// Cost as a function of the *total* schedule length (detection +
-/// recovery, split chosen by the optimizer). `base.with_recovery` must be
-/// true. Values below twice the critical path are reported infeasible.
-[[deprecated(
-    "build a SynthesisRequest (RequestKind::kLatencyFrontier, sweep_values) "
-    "and call core::synthesize() / SynthesisEngine::run()")]]
-std::vector<FrontierPoint> latency_frontier(
-    const ProblemSpec& base, const std::vector<int>& lambda_totals,
-    const OptimizerOptions& options = {});
 
 }  // namespace ht::core

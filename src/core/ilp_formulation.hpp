@@ -6,7 +6,7 @@
 // recovery copies over the recovery phase's; with the phase boundary fixed
 // this way, the paper's ordering constraints (14)-(15) hold structurally
 // (the optimizer explores boundary placements by re-solving per split, see
-// minimize_cost_total_latency).
+// SynthesisEngine::minimize_total_latency).
 //
 // This path exists for fidelity and cross-checking: the CSP optimizer is
 // the practical engine, and tests assert both report the same minimum cost

@@ -1,10 +1,6 @@
-// Legacy entry points, kept as thin wrappers over the SynthesisEngine so
-// existing callers (tests, benches, examples) compile and behave the same.
-// The search itself — including the parallel license-set driver — lives in
-// core/engine.cpp.
+// Optimizer result helpers. The search itself — including the parallel
+// license-set driver — lives in core/engine.cpp.
 #include "core/optimizer.hpp"
-
-#include "core/engine.hpp"
 
 namespace ht::core {
 
@@ -20,19 +16,6 @@ std::string to_string(OptStatus status) {
       return "unknown";
   }
   return "?";
-}
-
-OptimizeResult minimize_cost(const ProblemSpec& spec,
-                             const OptimizerOptions& options) {
-  SynthesisEngine engine(make_request(spec, options));
-  return engine.minimize();
-}
-
-SplitResult minimize_cost_total_latency(const ProblemSpec& base,
-                                        int lambda_total,
-                                        const OptimizerOptions& options) {
-  SynthesisEngine engine(make_request(base, options));
-  return engine.minimize_total_latency(lambda_total);
 }
 
 }  // namespace ht::core

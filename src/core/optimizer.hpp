@@ -12,10 +12,10 @@
 // budgets with randomized restarts and is the fast path for the bigger
 // benchmarks.
 //
-// These entry points are thin wrappers over core::SynthesisEngine (see
-// engine.hpp), which is the full API: multi-threaded search, progress
-// callbacks, cooperative cancellation, and the frontier/reoptimize
-// operations behind the same request object.
+// This header holds the optimizer's options and result types. The search
+// runs in core::SynthesisEngine (see engine.hpp), the full API:
+// multi-threaded search, progress callbacks, cooperative cancellation, and
+// the frontier/reoptimize operations behind the same request object.
 #pragma once
 
 #include <cstdint>
@@ -138,29 +138,15 @@ struct OptimizeResult {
   }
 };
 
-/// Minimizes license cost for a fully specified problem (fixed detection
-/// and recovery latency bounds). The returned solution is always validated
-/// against the spec before being returned.
-[[deprecated(
-    "build a SynthesisRequest (RequestKind::kMinimize) and call "
-    "core::synthesize() / SynthesisEngine::run(); see core/engine.hpp")]]
-OptimizeResult minimize_cost(const ProblemSpec& spec,
-                             const OptimizerOptions& options = {});
-
 /// Table-4 semantics: `lambda_total` bounds the *combined* schedule
 /// (detection phase followed by recovery phase) and the split between the
-/// phases is free. Tries every split with at least the critical path on
-/// each side and returns the best result (plus the winning split).
+/// phases is free. SynthesisEngine::minimize_total_latency tries every
+/// split with at least the critical path on each side and returns the best
+/// result plus the winning split.
 struct SplitResult {
   OptimizeResult result;
   int lambda_detection = 0;
   int lambda_recovery = 0;
 };
-[[deprecated(
-    "build a SynthesisRequest (RequestKind::kMinimizeTotalLatency, "
-    "lambda_total) and call core::synthesize() / SynthesisEngine::run()")]]
-SplitResult minimize_cost_total_latency(const ProblemSpec& base,
-                                        int lambda_total,
-                                        const OptimizerOptions& options = {});
 
 }  // namespace ht::core

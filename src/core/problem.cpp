@@ -1,6 +1,9 @@
 #include "core/problem.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "util/mask_kernels.hpp"
 
 namespace ht::core {
 
@@ -41,6 +44,14 @@ void ProblemSpec::validate() const {
     util::check_spec(lambda_recovery > 0,
                      "ProblemSpec: recovery latency must be positive");
   }
+  util::check_spec(graph.num_ops() < kMaxOps,
+                   "ProblemSpec: the DFG must have fewer than " +
+                       std::to_string(kMaxOps) + " ops");
+  const int max_lambda =
+      std::max(lambda_detection, with_recovery ? lambda_recovery : 0);
+  util::check_spec(max_lambda < util::kSwarCycleLimit,
+                   "ProblemSpec: latency bounds must be below " +
+                       std::to_string(util::kSwarCycleLimit) + " cycles");
   util::check_spec(area_limit > 0, "ProblemSpec: area limit must be positive");
   util::check_spec(max_instances_per_offer >= 0,
                    "ProblemSpec: negative instance cap");

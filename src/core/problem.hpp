@@ -24,6 +24,13 @@ namespace ht::core {
 /// always representable by the bitmask engines, and vice versa.
 inline constexpr int kMaxVendors = 24;
 
+/// Exclusive cap on DFG operations. The CSP packs a copy id (up to three
+/// copies per op) and its constraint degree (at most four per op) into
+/// 20-bit fields of one selection key; 2^18 ops keeps both in range.
+/// Latency bounds have a cap of their own, util::kSwarCycleLimit
+/// (util/mask_kernels.hpp): nogood cycle ranges pack into 15-bit lanes.
+inline constexpr int kMaxOps = 1 << 18;
+
 /// Which of the paper's design rules are active. All default on; benches
 /// toggle them for ablations, and `sibling_diversity_all_copies` selects
 /// between the paper's literal equation (7) (NC only) and the symmetric
@@ -100,7 +107,8 @@ struct ProblemSpec {
 
   /// Throws util::SpecError when inconsistent (empty graph, non-positive
   /// bounds, close pairs of mismatched type, vendors missing a needed
-  /// class entirely, ...).
+  /// class entirely, ...) or too large for the solvers: kMaxOps or more
+  /// ops, or a latency bound in use at or above util::kSwarCycleLimit.
   void validate() const;
 };
 

@@ -1,7 +1,5 @@
 #include "core/reoptimize.hpp"
 
-#include "core/engine.hpp"
-
 namespace ht::core {
 
 std::set<LicenseKey> suspect_licenses(const ProblemSpec& spec,
@@ -34,13 +32,6 @@ vendor::Catalog without_licenses(const vendor::Catalog& catalog,
     }
   }
   return thinned;
-}
-
-OptimizeResult reoptimize_without(const ProblemSpec& spec,
-                                  const std::set<LicenseKey>& banned,
-                                  const OptimizerOptions& options) {
-  SynthesisEngine engine(make_request(spec, options));
-  return engine.reoptimize(banned);
 }
 
 }  // namespace ht::core

@@ -30,14 +30,4 @@ std::set<LicenseKey> suspect_licenses(const ProblemSpec& spec,
 vendor::Catalog without_licenses(const vendor::Catalog& catalog,
                                  const std::set<LicenseKey>& banned);
 
-/// Re-synthesizes `spec` on the thinned market. Returns kInfeasible when
-/// the quarantine leaves too little diversity — the signal that the part
-/// must be replaced rather than re-programmed.
-[[deprecated(
-    "build a SynthesisRequest (RequestKind::kReoptimize, banned) and call "
-    "core::synthesize() / SynthesisEngine::run()")]]
-OptimizeResult reoptimize_without(const ProblemSpec& spec,
-                                  const std::set<LicenseKey>& banned,
-                                  const OptimizerOptions& options = {});
-
 }  // namespace ht::core

@@ -9,8 +9,8 @@
 // and benchmarked — exactly once.
 //
 // Cycle values must fit 15 bits (the SWAR compares reserve the per-lane top
-// bit as the borrow sentinel). Every caller guards its lambda against
-// kSwarCycleLimit at construction and falls back to scalar code beyond it.
+// bit as the borrow sentinel). core::ProblemSpec::validate rejects latency
+// bounds at or above kSwarCycleLimit, so every solver cycle fits.
 #pragma once
 
 #include <cstdint>

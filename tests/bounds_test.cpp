@@ -13,11 +13,12 @@
 
 #include <climits>
 
-#include "benchmarks/random_dfg.hpp"
 #include "core/engine.hpp"
 #include "core/ilp_formulation.hpp"
 #include "core/optimizer.hpp"
 #include "dfg/analysis.hpp"
+#include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "vendor/catalogs.hpp"
 
 namespace ht::core {
@@ -29,36 +30,6 @@ using dfg::ResourceClass;
 /// supply the floors" (kept well away from LLONG_MAX so incumbent
 /// comparisons cannot overflow).
 constexpr long long kUnsuppliable = LLONG_MAX / 4;
-
-/// Small catalog the ILP cross-check solves in seconds.
-vendor::Catalog small_catalog() {
-  vendor::Catalog catalog(4);
-  for (vendor::VendorId v = 0; v < 4; ++v) {
-    catalog.set_offer(v, ResourceClass::kAdder, {500 + 10 * v, 400 + 50 * v});
-    catalog.set_offer(v, ResourceClass::kMultiplier,
-                      {6000 - 100 * v, 900 - 40 * v});
-    catalog.set_offer(v, ResourceClass::kAlu, {800 + 25 * v, 500 + 30 * v});
-  }
-  return catalog;
-}
-
-ProblemSpec random_spec(util::Rng& rng) {
-  benchmarks::RandomDfgConfig config;
-  config.num_ops = static_cast<int>(rng.uniform_int(4, 7));
-  config.max_depth = 3;
-  config.edge_probability = rng.uniform01() * 0.5 + 0.2;
-  ProblemSpec spec;
-  spec.graph = benchmarks::random_dfg(config, rng);
-  spec.catalog = small_catalog();
-  const int cp = dfg::critical_path_length(spec.graph, spec.op_latencies());
-  spec.lambda_detection = cp + static_cast<int>(rng.uniform_int(0, 3));
-  spec.with_recovery = rng.chance(0.5);
-  spec.lambda_recovery =
-      spec.with_recovery ? cp + static_cast<int>(rng.uniform_int(0, 3)) : 0;
-  spec.area_limit = 4000 + rng.uniform_int(0, 8) * 2000;
-  spec.max_instances_per_offer = static_cast<int>(rng.uniform_int(1, 2));
-  return spec;
-}
 
 Palettes full_palettes(const ProblemSpec& spec) {
   Palettes palettes;
@@ -80,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BoundsPropertyTest, ::testing::Range(1, 9));
 TEST_P(BoundsPropertyTest, EveryLowerBoundIsAtOrBelowTheTrueOptimum) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 48271 + 7);
   for (int round = 0; round < 2; ++round) {
-    const ProblemSpec spec = random_spec(rng);
+    const ProblemSpec spec = test::random_tiny_spec(rng);
     const LowerBounds bounds(spec);
     for (int cls = 0; cls < dfg::kNumResourceClasses; ++cls) {
       EXPECT_GE(bounds.instance_floors()[cls], 0);
@@ -169,7 +140,7 @@ TEST(BoundsTest, EnergeticFloorSeesWindowPressure) {
 
   ProblemSpec spec;
   spec.graph = std::move(g);
-  spec.catalog = small_catalog();
+  spec.catalog = test::small_catalog();
   spec.lambda_detection = 2;
   spec.with_recovery = false;
   spec.area_limit = 1'000'000;

@@ -7,13 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "core/csp_solver.hpp"
 #include "core/nogood.hpp"
 #include "core/search_cache.hpp"
 #include "core/validate.hpp"
+#include "test_helpers.hpp"
 #include "vendor/catalog.hpp"
 
 namespace ht::core {
@@ -295,112 +296,53 @@ TEST(CspConflictTest, ImportedNogoodsPruneWithoutChangingAnswers) {
   EXPECT_LE(student.nodes, teacher.nodes);
 }
 
-TEST(CspConflictTest, WatchedPropagationMatchesScanExactly) {
-  // Two-watched-literal indexing must be invisible to the search: the
-  // blocked-value verdicts (and, on a block, the scan-derived conflict
-  // set) are identical, so status, node count, backjumps, learned nogoods
-  // and the first solution all match the scan-all check bit for bit — only
-  // the number of nogood entries examined per candidate changes.
-  const ProblemSpec contested = mixed_contention_spec();
-  const ProblemSpec feasible = chain_spec(24, 4, 2);
-  const ProblemSpec star = star_spec(5, 2, 4);
-  for (const ProblemSpec* spec : {&contested, &feasible, &star}) {
-    CspOptions scan;
-    scan.max_nodes = 50'000'000;
-    scan.nogood_watch = false;
-    scan.flat_state = false;
-    const CspResult reference = solve(*spec, scan);
-    EXPECT_EQ(reference.watch_visits, 0);
-
-    CspOptions watch = scan;
-    watch.nogood_watch = true;
-    const CspResult watched = solve(*spec, watch);
-
-    ASSERT_EQ(watched.status, reference.status);
-    EXPECT_EQ(watched.nodes, reference.nodes);
-    EXPECT_EQ(watched.backjumps, reference.backjumps);
-    EXPECT_EQ(watched.restarts, reference.restarts);
-    ASSERT_EQ(watched.learned.size(), reference.learned.size());
-    for (std::size_t k = 0; k < reference.learned.size(); ++k) {
-      EXPECT_EQ(watched.learned[k], reference.learned[k]);
-    }
-    if (reference.status == CspResult::Status::kFeasible) {
-      expect_same_solution(reference.solution, watched.solution);
-    }
-    if (spec == &contested) {
-      EXPECT_GT(watched.watch_visits, 0);
-      std::printf("contested mixed: %ld nodes, %ld watch visits\n",
-                  watched.nodes, watched.watch_visits);
-    }
+/// Every search counter the counter verdicts must reproduce exactly.
+/// watch_visits is left out: the reference scan visits no counter bucket.
+void expect_same_tree(const CspResult& counters, const CspResult& scan) {
+  ASSERT_EQ(counters.status, scan.status);
+  EXPECT_EQ(counters.nodes, scan.nodes);
+  EXPECT_EQ(counters.backjumps, scan.backjumps);
+  EXPECT_EQ(counters.restarts, scan.restarts);
+  ASSERT_EQ(counters.learned.size(), scan.learned.size());
+  for (std::size_t k = 0; k < scan.learned.size(); ++k) {
+    EXPECT_EQ(counters.learned[k], scan.learned[k]);
   }
-}
-
-TEST(CspConflictTest, WatchedImportedNogoodsMatchScan) {
-  // The imported-nogood path registers watches before any assignment
-  // exists (first two literals); it must block the same candidates the
-  // scan does.
-  const ProblemSpec spec = star_spec(5, 2, 4);
-  CspOptions teacher_options;
-  teacher_options.max_nodes = 20'000'000;
-  const CspResult teacher = solve(spec, teacher_options);
-  ASSERT_EQ(teacher.status, CspResult::Status::kInfeasible);
-  ASSERT_FALSE(teacher.learned.empty());
-
-  CspOptions scan = teacher_options;
-  scan.imported = &teacher.learned;
-  scan.nogood_watch = false;
-  const CspResult scan_student = solve(spec, scan);
-
-  CspOptions watch = scan;
-  watch.nogood_watch = true;
-  const CspResult watch_student = solve(spec, watch);
-
-  ASSERT_EQ(watch_student.status, scan_student.status);
-  EXPECT_EQ(watch_student.nodes, scan_student.nodes);
-  EXPECT_EQ(watch_student.backjumps, scan_student.backjumps);
-  ASSERT_EQ(watch_student.learned.size(), scan_student.learned.size());
-  for (std::size_t k = 0; k < scan_student.learned.size(); ++k) {
-    EXPECT_EQ(watch_student.learned[k], scan_student.learned[k]);
+  if (scan.status == CspResult::Status::kFeasible) {
+    expect_same_solution(scan.solution, counters.solution);
   }
-  EXPECT_GT(watch_student.watch_visits, 0);
 }
 
 TEST(CspConflictTest, FlatCounterPropagationMatchesScanExactly) {
-  // The flat true-literal-counter path replaces the watched-literal index
-  // but keeps the same contract: every completion claim is re-derived by
-  // the reference scan, so the search tree — status, nodes, backjumps,
-  // restarts, learned nogoods, first solution — matches the scan-all
-  // baseline bit for bit. Stale-high counters may cause extra (refuted)
-  // claims; those change only watch_visits, never the tree.
-  const ProblemSpec contested = mixed_contention_spec();
-  const ProblemSpec feasible = chain_spec(24, 4, 2);
-  const ProblemSpec star = star_spec(5, 2, 4);
-  for (const ProblemSpec* spec : {&contested, &feasible, &star}) {
-    CspOptions scan;
-    scan.max_nodes = 50'000'000;
-    scan.nogood_watch = false;
-    scan.flat_state = false;
-    const CspResult reference = solve(*spec, scan);
-
-    CspOptions flat = scan;
-    flat.flat_state = true;
-    const CspResult flat_result = solve(*spec, flat);
-
-    ASSERT_EQ(flat_result.status, reference.status);
-    EXPECT_EQ(flat_result.nodes, reference.nodes);
-    EXPECT_EQ(flat_result.backjumps, reference.backjumps);
-    EXPECT_EQ(flat_result.restarts, reference.restarts);
-    ASSERT_EQ(flat_result.learned.size(), reference.learned.size());
-    for (std::size_t k = 0; k < reference.learned.size(); ++k) {
-      EXPECT_EQ(flat_result.learned[k], reference.learned[k]);
-    }
-    if (reference.status == CspResult::Status::kFeasible) {
-      expect_same_solution(reference.solution, flat_result.solution);
-    }
-    if (spec == &contested) {
-      EXPECT_GT(flat_result.watch_visits, 0);
-    }
+  // True-literal-counter propagation must be invisible to the search:
+  // every completion claim is verified against the nogood's literals, so
+  // the search tree — status, nodes, backjumps, restarts, learned nogoods,
+  // first solution — matches the reference scan bit for bit. Stale-high
+  // counters may cause extra (refuted) claims; those change only
+  // watch_visits, never the tree.
+  std::vector<ProblemSpec> specs = {mixed_contention_spec(),
+                                    chain_spec(24, 4, 2), star_spec(5, 2, 4)};
+  for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+    util::Rng rng(seed);
+    for (int i = 0; i < 8; ++i) specs.push_back(test::random_tiny_spec(rng));
   }
+  long learned_total = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    CspOptions options;
+    options.max_nodes = 50'000'000;
+    const Palettes palettes = full_palettes(specs[i]);
+    const CspResult counters = schedule_and_bind(specs[i], palettes, options);
+    const CspResult scan =
+        detail::solve_with_reference_scan(specs[i], palettes, options);
+    expect_same_tree(counters, scan);
+    EXPECT_EQ(scan.watch_visits, 0);
+    if (i == 0) {
+      EXPECT_GT(counters.watch_visits, 0);
+    }
+    learned_total += static_cast<long>(scan.learned.size());
+  }
+  // The comparison means something only if nogoods were in play.
+  EXPECT_GT(learned_total, 0);
 }
 
 TEST(CspConflictTest, FlatImportedNogoodsMatchScan) {
@@ -414,23 +356,13 @@ TEST(CspConflictTest, FlatImportedNogoodsMatchScan) {
   ASSERT_EQ(teacher.status, CspResult::Status::kInfeasible);
   ASSERT_FALSE(teacher.learned.empty());
 
-  CspOptions scan = teacher_options;
-  scan.imported = &teacher.learned;
-  scan.nogood_watch = false;
-  scan.flat_state = false;
-  const CspResult scan_student = solve(spec, scan);
-
-  CspOptions flat = scan;
-  flat.flat_state = true;
-  const CspResult flat_student = solve(spec, flat);
-
-  ASSERT_EQ(flat_student.status, scan_student.status);
-  EXPECT_EQ(flat_student.nodes, scan_student.nodes);
-  EXPECT_EQ(flat_student.backjumps, scan_student.backjumps);
-  ASSERT_EQ(flat_student.learned.size(), scan_student.learned.size());
-  for (std::size_t k = 0; k < scan_student.learned.size(); ++k) {
-    EXPECT_EQ(flat_student.learned[k], scan_student.learned[k]);
-  }
+  CspOptions primed = teacher_options;
+  primed.imported = &teacher.learned;
+  const CspResult counters = solve(spec, primed);
+  const CspResult scan =
+      detail::solve_with_reference_scan(spec, full_palettes(spec), primed);
+  expect_same_tree(counters, scan);
+  EXPECT_GT(counters.watch_visits, 0);
 }
 
 TEST(CspConflictTest, LearnedNogoodsDroppedOnCancel) {

@@ -14,10 +14,14 @@
 #include <chrono>
 #include <thread>
 
+#include "benchmarks/random_dfg.hpp"
 #include "benchmarks/suite.hpp"
 #include "core/validate.hpp"
 #include "dfg/analysis.hpp"
 #include "test_helpers.hpp"
+#include "util/mask_kernels.hpp"
+#include "util/rng.hpp"
+#include "util/status.hpp"
 #include "vendor/catalogs.hpp"
 
 namespace ht::core {
@@ -101,8 +105,8 @@ TEST(EngineDeterminismTest, OneThreadAndFourThreadsAgreeOnPaperSuite) {
 }
 
 TEST(EngineDeterminismTest, ThreadsFieldOfOptimizerOptionsIsTransparent) {
-  // The legacy wrappers route through the engine; the new `threads` knob
-  // must not change what they return.
+  // make_request carries OptimizerOptions into an engine request; its
+  // `threads` knob must not change what the engine returns.
   const ProblemSpec spec = test::motivational_spec();
   OptimizerOptions options;
   const OptimizeResult serial = synthesize(make_request(spec, options)).result;
@@ -126,6 +130,207 @@ TEST(EngineDeterminismTest, TotalLatencySplitSweepAgrees) {
   EXPECT_EQ(serial.lambda_detection, parallel.lambda_detection);
   EXPECT_EQ(serial.lambda_recovery, parallel.lambda_recovery);
   expect_identical(serial.result, parallel.result, "split sweep");
+}
+
+/// polynom at its critical path with one instance per license, so cheap
+/// license sets are genuinely fought over by the CSP.
+ProblemSpec contested_spec() {
+  ProblemSpec spec;
+  spec.graph = benchmarks::by_name("polynom").factory();
+  spec.catalog = vendor::section5();
+  const int critical_path =
+      dfg::critical_path_length(spec.graph, spec.op_latencies());
+  spec.lambda_detection = critical_path;
+  spec.lambda_recovery = critical_path;
+  spec.with_recovery = true;
+  spec.area_limit = 400000;
+  spec.max_instances_per_offer = 1;
+  return spec;
+}
+
+/// The size_sweep shape from bench_solver_scaling: a seeded random DFG with
+/// one cycle of detection slack and capped instances.
+ProblemSpec sweep_spec(int num_ops, std::uint64_t seed) {
+  util::Rng rng(seed);
+  benchmarks::RandomDfgConfig config;
+  config.num_ops = num_ops;
+  config.max_depth = 5;
+  ProblemSpec spec;
+  spec.graph = benchmarks::random_dfg(config, rng);
+  spec.catalog = vendor::section5();
+  const int critical_path =
+      dfg::critical_path_length(spec.graph, spec.op_latencies());
+  spec.lambda_detection = critical_path + 1;
+  spec.lambda_recovery = critical_path;
+  spec.with_recovery = true;
+  spec.area_limit = 400000;
+  spec.max_instances_per_offer = 1;
+  return spec;
+}
+
+OptimizeResult run_csp_bound(const ProblemSpec& spec, int threads) {
+  SynthesisRequest request;
+  request.spec = spec;
+  request.parallelism.threads = threads;
+  // Screens and bounds off so every refutation is a CSP proof — with them
+  // on, these fixtures are settled by pre-dispatch pruning and greedy and
+  // the CSP never runs a node. Node/combo budgets keep the runs
+  // test-sized; budget truncation is deterministic.
+  request.pruning.static_screens = false;
+  request.pruning.cost_bounds = false;
+  request.limits.csp_node_limit = 60'000;
+  request.limits.max_combos = 48;
+  // Generous wall clock: a binding time limit would truncate the search at
+  // a clock-dependent point.
+  request.limits.time_limit_seconds = 600.0;
+  return synthesize(request).result;
+}
+
+TEST(EngineDeterminismTest, SameVerdictAcrossThreadCounts) {
+  // Full CSP-bound solves at 4 and 8 threads: the engine's cross-thread
+  // contract is status/cost identity with the single-threaded reference
+  // (stats may include speculative evaluations past the winner, so node
+  // counters are asserted only in the bounded-window test below).
+  for (const ProblemSpec& spec :
+       {contested_spec(), sweep_spec(/*num_ops=*/12, /*seed=*/1012)}) {
+    const OptimizeResult reference = run_csp_bound(spec, /*threads=*/1);
+    EXPECT_GT(reference.stats.nodes_total, 0);
+    for (const int threads : {4, 8}) {
+      const OptimizeResult result = run_csp_bound(spec, threads);
+      ASSERT_EQ(result.status, reference.status) << "threads " << threads;
+      EXPECT_EQ(result.cost, reference.cost) << "threads " << threads;
+    }
+  }
+}
+
+/// Window budget for the node-identity runs: small enough to sit inside
+/// the infeasible prefix of the cheapest-first queue on both fixtures
+/// (asserted below), large enough to force real CSP work on every set.
+constexpr long kWindow = 8;
+
+OptimizeResult run_window(const ProblemSpec& spec, int threads) {
+  SynthesisRequest request;
+  request.spec = spec;
+  request.parallelism.threads = threads;
+  // Screens, bounds, and the (cold, hence empty anyway) dominance cache
+  // off: every windowed set reaches the CSP. Nogood learning stays on —
+  // frozen-tier imports are immutable during the search, so learning does
+  // not perturb the dispatch determinism this test depends on.
+  request.pruning.static_screens = false;
+  request.pruning.cost_bounds = false;
+  request.pruning.dominance_cache = false;
+  request.limits.max_combos = kWindow;
+  request.limits.csp_node_limit = 30'000;
+  request.limits.time_limit_seconds = 600.0;
+  return synthesize(request).result;
+}
+
+TEST(EngineDeterminismTest, BoundedWindowNodeIdentityAcrossThreadCounts) {
+  // At N threads the dispatch set is deterministic only while no in-window
+  // incumbent exists (workers race the commit of a winner, so sets at or
+  // above its cost are speculatively dispatched or not). Bounding the
+  // search with max_combos inside the infeasible prefix of the queue makes
+  // the window exactly the first kWindow sets at any thread count, so
+  // every search counter must match the single-threaded anchor.
+  for (const ProblemSpec& spec :
+       {contested_spec(), sweep_spec(/*num_ops=*/12, /*seed=*/1012)}) {
+    const OptimizeResult anchor = run_window(spec, /*threads=*/1);
+    // Determinism precondition: the combo budget bound the search. If a
+    // fixture change makes a windowed set feasible, this trips and the
+    // window must shrink.
+    ASSERT_EQ(anchor.stats.combos_tried, kWindow);
+    EXPECT_GT(anchor.stats.nodes_total, 0);
+    for (const int threads : {1, 4, 8}) {
+      const OptimizeResult result = run_window(spec, threads);
+      ASSERT_EQ(result.status, anchor.status) << "threads " << threads;
+      EXPECT_EQ(result.cost, anchor.cost) << "threads " << threads;
+      EXPECT_EQ(result.stats.combos_tried, anchor.stats.combos_tried);
+      EXPECT_EQ(result.stats.combos_skipped_screen,
+                anchor.stats.combos_skipped_screen);
+      EXPECT_EQ(result.stats.unknown_combos, anchor.stats.unknown_combos);
+      EXPECT_EQ(result.stats.nodes_total, anchor.stats.nodes_total);
+      EXPECT_EQ(result.stats.csp_nodes, anchor.stats.csp_nodes);
+      EXPECT_EQ(result.stats.backjumps, anchor.stats.backjumps);
+      EXPECT_EQ(result.stats.restarts, anchor.stats.restarts);
+      EXPECT_EQ(result.stats.nogoods_learned, anchor.stats.nogoods_learned);
+      if (result.has_solution() && anchor.has_solution()) {
+        EXPECT_EQ(result.solution.licenses_used(spec),
+                  anchor.solution.licenses_used(spec));
+      }
+    }
+  }
+}
+
+// ---- input limits -----------------------------------------------------
+// The CSP packs cycles into 15-bit lanes and copy ids and degrees into
+// 20-bit key fields; ProblemSpec::validate turns specs outside those
+// formats away with a SpecError before any search starts.
+
+/// Two chained adders on the Table 1 catalog, detection only.
+ProblemSpec two_adder_spec(int lambda) {
+  ProblemSpec spec;
+  dfg::Dfg graph("two_adders");
+  const dfg::Operand a = graph.add_input("a");
+  const dfg::Operand b = graph.add_input("b");
+  graph.add(dfg::Operand::op(graph.add(a, b)), b);
+  spec.graph = std::move(graph);
+  spec.catalog = vendor::table1();
+  spec.lambda_detection = lambda;
+  spec.with_recovery = false;
+  spec.area_limit = 22000;
+  return spec;
+}
+
+TEST(EngineInputLimitsTest, LatencyBoundMustStayBelowSwarCycleLimit) {
+  SynthesisRequest request;
+  request.spec = two_adder_spec(util::kSwarCycleLimit - 1);
+  // The energetic floors sweep every cycle window, quadratic in lambda
+  // (seconds at this bound), so they are off; acceptance does not depend
+  // on them.
+  request.pruning.cost_bounds = false;
+  const OptimizeResult widest = synthesize(request).result;
+  EXPECT_EQ(widest.status, OptStatus::kOptimal);
+  require_valid(request.spec, widest.solution);
+
+  // The CSP's packed formats hold at the widest accepted bound.
+  Palettes palettes;
+  for (vendor::VendorId v = 0; v < request.spec.catalog.num_vendors(); ++v) {
+    if (request.spec.catalog.offers(v, dfg::ResourceClass::kAdder)) {
+      palettes[static_cast<std::size_t>(dfg::ResourceClass::kAdder)]
+          .push_back(v);
+    }
+  }
+  const CspResult csp = schedule_and_bind(request.spec, palettes);
+  ASSERT_EQ(csp.status, CspResult::Status::kFeasible);
+  require_valid(request.spec, csp.solution);
+
+  request.spec.lambda_detection = util::kSwarCycleLimit;
+  EXPECT_THROW(synthesize(request), util::SpecError);
+
+  // The recovery bound counts only when recovery is on.
+  request.spec.lambda_detection = 8;
+  request.spec.lambda_recovery = util::kSwarCycleLimit;
+  EXPECT_NO_THROW(request.spec.validate());
+  request.spec.with_recovery = true;
+  EXPECT_THROW(synthesize(request), util::SpecError);
+}
+
+TEST(EngineInputLimitsTest, OpCountMustStayBelowMaxOps) {
+  // kMaxOps - 1 independent adders pass validation; solving them is out of
+  // test scope, so the accepted side stops at validate().
+  SynthesisRequest request;
+  request.spec = test::easy_section5_spec();
+  dfg::Dfg graph("wide");
+  const dfg::Operand a = graph.add_input("a");
+  const dfg::Operand b = graph.add_input("b");
+  for (int i = 0; i < kMaxOps - 1; ++i) graph.add(a, b, "op");
+  request.spec.graph = graph;
+  request.spec.lambda_detection = 1;
+  request.spec.lambda_recovery = 1;
+  EXPECT_NO_THROW(request.spec.validate());
+  request.spec.graph.add(a, b, "op");
+  ASSERT_EQ(request.spec.graph.num_ops(), kMaxOps);
+  EXPECT_THROW(synthesize(request), util::SpecError);
 }
 
 TEST(EngineCancelTest, PreCancelledTokenReturnsUnknownImmediately) {
