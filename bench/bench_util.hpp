@@ -85,7 +85,7 @@ struct JsonRecord {
   long lb_prunes = 0;
   /// LP relaxations priced for the opt-in LP bound (cache misses only).
   long lb_lp_solves = 0;
-  /// Watched-literal entries examined by the nogood propagator
+  /// Counter-bucket entries examined by the nogood propagator
   /// (nodes_total-style aggregation).
   long nogood_watch_visits = 0;
   double wall_s = 0.0;

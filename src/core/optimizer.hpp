@@ -95,9 +95,9 @@ struct OptimizeStats {
   /// LP relaxations actually priced (cache misses) for the opt-in LP
   /// bound; a warm engine reuses the memoized bound and reports 0.
   long lb_lp_solves = 0;
-  /// Watched-literal bucket entries examined by the nogood propagator,
-  /// aggregated like nodes_total. The scan-all check this replaces visited
-  /// every nogood containing the copy on every candidate value.
+  /// Counter-bucket entries examined by the nogood propagator
+  /// (CspResult::watch_visits), aggregated like nodes_total. The name
+  /// predates the counters and stays for wire and bench-log compatibility.
   long nogood_watch_visits = 0;
   // ---- racing portfolio attribution. The pool counters are zero unless
   // PortfolioOptions::enabled; best_source and time_to_best_seconds are
