@@ -186,7 +186,7 @@ OptimizeResult run_csp_bound(const ProblemSpec& spec, int threads) {
   return synthesize(request).result;
 }
 
-TEST(EngineDeterminismTest, SameVerdictAcrossThreadCounts) {
+TEST(EngineFlatStateTest, SameVerdictAcrossThreadCounts) {
   // Full CSP-bound solves at 4 and 8 threads: the engine's cross-thread
   // contract is status/cost identity with the single-threaded reference
   // (stats may include speculative evaluations past the winner, so node
@@ -225,7 +225,7 @@ OptimizeResult run_window(const ProblemSpec& spec, int threads) {
   return synthesize(request).result;
 }
 
-TEST(EngineDeterminismTest, BoundedWindowNodeIdentityAcrossThreadCounts) {
+TEST(EngineFlatStateTest, BoundedWindowNodeIdentityAcrossThreadCounts) {
   // At N threads the dispatch set is deterministic only while no in-window
   // incumbent exists (workers race the commit of a winner, so sets at or
   // above its cost are speculatively dispatched or not). Bounding the
