@@ -83,8 +83,6 @@ struct JsonRecord {
   /// License sets refuted by the branch-and-bound lower bounds before any
   /// CSP dispatch.
   long lb_prunes = 0;
-  /// LP relaxations priced for the opt-in LP bound (cache misses only).
-  long lb_lp_solves = 0;
   /// Counter-bucket entries examined by the nogood propagator
   /// (nodes_total-style aggregation).
   long nogood_watch_visits = 0;
@@ -139,7 +137,6 @@ inline JsonRecord record_of(std::string benchmark,
   record.combos_skipped_cache = result.stats.combos_skipped_cache;
   record.combos_skipped_screen = result.stats.combos_skipped_screen;
   record.lb_prunes = result.stats.lb_prunes;
-  record.lb_lp_solves = result.stats.lb_lp_solves;
   record.nogood_watch_visits = result.stats.nogood_watch_visits;
   record.wall_s = wall_s;
   record.time_to_incumbent_s = result.stats.time_to_incumbent_seconds;
@@ -177,7 +174,6 @@ class JsonReport {
           << ", \"combos_skipped_cache\": " << r.combos_skipped_cache
           << ", \"combos_skipped_screen\": " << r.combos_skipped_screen
           << ", \"lb_prunes\": " << r.lb_prunes
-          << ", \"lb_lp_solves\": " << r.lb_lp_solves
           << ", \"nogood_watch_visits\": " << r.nogood_watch_visits
           << ", \"wall_s\": " << util::format_double(r.wall_s, 4);
       if (r.time_to_incumbent_s >= 0.0) {

@@ -27,9 +27,7 @@
 //      catalog licenses of each class gives a lower bound on the license
 //      cost of ANY feasible solution (a solution is billed for the
 //      licenses it uses, and it must use at least the floor).
-//
-// An opt-in LP bound (core/ilp_formulation.hpp: license_lp_lower_bound)
-// can tighten the cost floor further; the engine takes the max.
+
 #pragma once
 
 #include <array>

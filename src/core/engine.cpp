@@ -9,7 +9,6 @@
 
 #include "core/bounds.hpp"
 #include "core/greedy.hpp"
-#include "core/ilp_formulation.hpp"
 #include "core/incumbent_pool.hpp"
 #include "core/palette.hpp"
 #include "core/sls_binder.hpp"
@@ -108,16 +107,14 @@ ComboOutcome evaluate_combo(const ProblemSpec& spec, const Palettes& palettes,
     // the request's thread budget. Gated to budgets/sizes where the split
     // can pay (the per-block floor would distort small node-budgeted A/B
     // runs) and to learning mode so that `nogood_learning = false` stays a
-    // node-for-node reproduction of the chronological engine.
-    int split = request.limits.intra_palette_split;
-    if (split == 0) {
-      const int copies =
-          spec.graph.num_ops() * (spec.with_recovery ? 3 : 2);
-      split = (learning && copies >= 64 &&
-               request.limits.csp_node_limit >= 1'000'000)
-                  ? 8
-                  : 1;
-    }
+    // node-for-node reproduction of the chronological engine. Any split is
+    // bit-identical to sequential — the committed block is the lowest-index
+    // solved one.
+    const int copies = spec.graph.num_ops() * (spec.with_recovery ? 3 : 2);
+    const int split = (learning && copies >= 64 &&
+                       request.limits.csp_node_limit >= 1'000'000)
+                          ? 8
+                          : 1;
     csp_options.subtree_split = split;
     csp_options.split_threads =
         split > 1 ? request.parallelism.resolved_threads() : 1;
@@ -200,14 +197,9 @@ struct SharedSearch {
   NogoodStore* nogoods = nullptr;          ///< null = nogood learning off
   const LowerBounds* bounds = nullptr;     ///< null = cost bounds off
   /// Lower bound on the license cost of ANY feasible solution (the
-  /// combinatorial floor, optionally tightened by the LP relaxation).
-  /// Computed once before the search, so every thread count prunes the
-  /// same sets.
+  /// combinatorial floor). Computed once before the search, so every
+  /// thread count prunes the same sets.
   long long cost_floor = 0;
-  /// The combinatorial portion of cost_floor alone (no LP tightening).
-  /// Floor prunes of sets at or above this line are attributable to the LP
-  /// bound — the prune-reason split the metrics report.
-  long long comb_floor = 0;
   std::uint64_t epoch = 0;
   std::uint64_t nogood_epoch = 0;
   std::uint64_t ctx = 0;
@@ -374,10 +366,7 @@ void search_worker(SharedSearch& shared, const SynthesisRequest& request,
             // floor and so are pruned here, never dispatched.
             ++shared.stats.lb_prunes;
             ++shared.evaluated_dispatched;
-            note_prune(combo_cost >= shared.comb_floor
-                           ? obs::PruneReason::kLp
-                           : obs::PruneReason::kBound,
-                       combo_cost);
+            note_prune(obs::PruneReason::kBound, combo_cost);
             continue;
           }
           sig = signature_of(spec, palettes);
@@ -421,10 +410,7 @@ void search_worker(SharedSearch& shared, const SynthesisRequest& request,
             // the proven floor on every feasible solution — impossible.
             ++shared.stats.lb_prunes;
             ++shared.evaluated_dispatched;
-            note_prune(combo_cost >= shared.comb_floor
-                           ? obs::PruneReason::kLp
-                           : obs::PruneReason::kBound,
-                       combo_cost);
+            note_prune(obs::PruneReason::kBound, combo_cost);
             continue;
           }
           bool bound_refuted = false;
@@ -702,7 +688,7 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
   obs::CorrelationScope correlation(request_.observability.request_id);
   HT_TRACE_SPAN("engine/minimize");
   // The calling thread's sink covers the pre-search stages (enumeration,
-  // LP pricing, the probe, full-market screens); workers bind their own
+  // bounds, the probe, full-market screens); workers bind their own
   // sinks and merge into shared.metrics, folded in after the join.
   obs::SolveMetrics op_metrics;
   obs::MetricsBinding op_binding(
@@ -768,12 +754,9 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
   // every palette.
   std::optional<LowerBounds> bounds;
   long long cost_floor = 0;
-  long long comb_floor = 0;
-  long lb_lp_solves = 0;
   if (request_.pruning.cost_bounds) {
     bounds.emplace(spec);
     cost_floor = bounds->global_cost_lb();
-    comb_floor = cost_floor;
     bool market_refuted = false;
     {
       HT_TRACE_SPAN("stage/bounds");
@@ -787,18 +770,6 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
       obs::record_prune(obs::PruneReason::kBound);
       result.metrics = op_metrics;
       return result;
-    }
-    if (request_.pruning.lp_bound) {
-      HT_TRACE_SPAN("stage/lp");
-      const PaletteSignature market_sig = signature_of(spec, full_market);
-      long long lp = 0;
-      if (!cache_.lp_bound(spec, market_sig, &lp)) {
-        lp = license_lp_lower_bound(spec, bounds->instance_floors(),
-                                    bounds->vendor_floors());
-        ++lb_lp_solves;
-        if (lp >= 0) cache_.store_lp_bound(spec, market_sig, lp);
-      }
-      cost_floor = std::max(cost_floor, lp);
     }
   }
 
@@ -837,12 +808,8 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
     HT_TRACE_SPAN("engine/portfolio");
     std::vector<PortfolioMember> members;
     if (probe_wanted) members.push_back(PortfolioMember::kExact);
-    if (request_.portfolio.greedy_member) {
-      members.push_back(PortfolioMember::kGreedy);
-    }
-    if (request_.portfolio.sls_member) {
-      members.push_back(PortfolioMember::kSls);
-    }
+    members.push_back(PortfolioMember::kGreedy);
+    members.push_back(PortfolioMember::kSls);
     std::vector<obs::SolveMetrics> member_metrics(members.size());
     std::mutex sls_mutex;
     run_indexed(members.size(), threads, [&](std::size_t i, int) {
@@ -911,8 +878,6 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
         obs::StageTimer sls_timer(obs::Stage::kSlsSearch);
         SlsOptions sls;
         sls.seed = member_seed;
-        sls.restarts = request_.portfolio.sls_restarts;
-        sls.perturbations = request_.portfolio.sls_perturbations;
         sls.time_limit_seconds = std::max(
             0.1,
             request_.limits.time_limit_seconds - timer.elapsed_seconds());
@@ -968,7 +933,6 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
   shared.nogoods = request_.pruning.nogood_learning ? &nogoods_ : nullptr;
   shared.bounds = bounds ? &*bounds : nullptr;
   shared.cost_floor = cost_floor;
-  shared.comb_floor = comb_floor;
   shared.epoch = op_epoch_;
   shared.nogood_epoch = nogood_epoch_;
   shared.ctx = ctx;
@@ -1002,7 +966,6 @@ OptimizeResult SynthesisEngine::minimize_spec(const ProblemSpec& spec,
   result.stats.backjumps += probe_backjumps;
   result.stats.restarts += probe_restarts;
   result.stats.nogood_watch_visits += probe_watch_visits;
-  result.stats.lb_lp_solves = lb_lp_solves;
   result.stats.incumbents_published = pool.published();
   result.stats.sls_steps = portfolio_sls_steps;
   result.stats.time_to_incumbent_seconds = pool.first_publish_seconds();

@@ -58,13 +58,6 @@ struct SearchLimits {
   long heuristic_node_limit = 80'000;
   /// Stop after this many license sets regardless of proof state.
   long max_combos = 200'000;
-  /// Deterministic intra-palette parallelism (exact strategy): split the
-  /// CSP's root decision level into this many disjoint subtrees solved on
-  /// the request's thread budget. 0 = auto (split large budgeted solves on
-  /// big specs, where a single palette dwarfs the combo loop); 1 = never.
-  /// Any value is bit-identical to sequential — the committed block is the
-  /// lowest-index solved one.
-  int intra_palette_split = 0;
 };
 
 struct Parallelism {
@@ -112,21 +105,12 @@ struct PruningOptions {
   /// are the wall clock and *upgrades* (the engine reports kOptimal the
   /// moment the cost floor meets the incumbent instead of enumerating on).
   bool cost_bounds = true;
-  /// Opt-in LP tightening of the global cost floor: prices a reduced
-  /// relaxation of the paper's ILP (license indicators + aggregated
-  /// capacity/area rows, see core/ilp_formulation.hpp) with the dense
-  /// simplex and takes the max with the combinatorial floor. Memoized in
-  /// the SearchCache per (spec family, market signature, license costs), so
-  /// repeated operations on a warm engine skip the solve. Off by default:
-  /// the combinatorial floor is free and usually as tight on the paper's
-  /// markets.
-  bool lp_bound = false;
 };
 
 /// Racing algorithm portfolio (see core/incumbent_pool.hpp and DESIGN.md
-/// "Racing portfolio"). Enabled, each license-set minimization races up to
-/// three members: the greedy constructor, the SLS binder
-/// (core/sls_binder.hpp), and the exact member's full-market probe run
+/// "Racing portfolio"). Enabled, each license-set minimization races three
+/// members: the greedy constructor, the SLS binder (core/sls_binder.hpp,
+/// default SlsOptions budgets), and the exact member's full-market probe run
 /// concurrently as deterministic, step-budgeted incumbent seeders
 /// publishing validated bindings into a shared IncumbentPool; the exact
 /// cheapest-first enumeration then starts with the pool's best as its
@@ -140,13 +124,6 @@ struct PruningOptions {
 /// upgrade-only strengthening of budget-truncated rows) changes.
 struct PortfolioOptions {
   bool enabled = false;
-  /// Run the greedy full-market seeder (member rank 1).
-  bool greedy_member = true;
-  /// Run the SLS decimation binder (member rank 2).
-  bool sls_member = true;
-  /// SLS attempt budget (SlsOptions::restarts / perturbations).
-  int sls_restarts = 8;
-  int sls_perturbations = 12;
 };
 
 /// Observability toggles for one synthesis call. Tracing is process-wide
@@ -266,8 +243,8 @@ struct SynthesisResponse {
 /// Façade over the parallel license-set search. All operations share the
 /// request's budgets, thread count, progress callback, and cancel token.
 /// The engine is reusable but not reentrant: run one operation at a time
-/// per engine. Reuse is where the warm state lives — the dominance cache,
-/// the nogood store, and the LP-bound memos persist across run() calls
+/// per engine. Reuse is where the warm state lives — the dominance cache
+/// and the nogood store persist across run() calls
 /// (self-invalidating when a structurally incompatible spec arrives), which
 /// is what the thlsd daemon exploits by routing same-market requests
 /// through one engine.
@@ -281,7 +258,7 @@ class SynthesisEngine {
   const SynthesisRequest& request() const { return request_; }
 
   /// Replaces the engine's request and dispatches on its kind. Warm state
-  /// (cache/nogoods/LP memos) carries over from previous runs and may only
+  /// (cache/nogoods) carries over from previous runs and may only
   /// change *speed* — never statuses, costs, or bindings — within equal
   /// budgets (see DESIGN.md §5 for the argument and its budget-truncation
   /// caveat).

@@ -1,14 +1,10 @@
 #include "core/ilp_formulation.hpp"
 
 #include <algorithm>
-#include <climits>
-#include <cmath>
 
 #include "core/rules.hpp"
 #include "lp/lp_problem.hpp"
 #include "dfg/analysis.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace ht::core {
@@ -397,53 +393,6 @@ OptimizeResult minimize_cost_ilp(const ProblemSpec& spec,
       result.cost == static_cast<long long>(solved.objective + 0.5),
       "ILP objective disagrees with decoded license cost");
   return result;
-}
-
-long long license_lp_lower_bound(
-    const ProblemSpec& spec,
-    const std::array<int, dfg::kNumResourceClasses>& instance_floors,
-    const std::array<int, dfg::kNumResourceClasses>& vendor_floors) {
-  HT_TRACE_SPAN("lp/simplex");
-  obs::StageTimer lp_timer(obs::Stage::kLpBound);
-  lp::LpProblem relax;
-  const auto op_counts = spec.graph.ops_per_class();
-  std::vector<std::pair<int, double>> area_row;
-  for (int cls = 0; cls < dfg::kNumResourceClasses; ++cls) {
-    if (op_counts[cls] == 0) continue;
-    const auto rc = static_cast<dfg::ResourceClass>(cls);
-    const int cap = spec.instance_cap(rc);
-    std::vector<std::pair<int, double>> instance_row;
-    std::vector<std::pair<int, double>> license_row;
-    for (vendor::VendorId v = 0; v < spec.catalog.num_vendors(); ++v) {
-      if (!spec.catalog.offers(v, rc)) continue;
-      const vendor::IpOffer& offer = spec.catalog.offer(v, rc);
-      const int delta = relax.add_variable(0.0, 1.0, offer.cost);
-      const int count = relax.add_variable(0.0, lp::kInf, 0.0);
-      // n(v, c) <= cap * delta(v, c): instances only on bought licenses.
-      relax.add_constraint({{count, 1.0}, {delta, -double(cap)}},
-                           lp::Relation::kLe, 0.0);
-      instance_row.emplace_back(count, 1.0);
-      license_row.emplace_back(delta, 1.0);
-      area_row.emplace_back(count, double(offer.area));
-    }
-    relax.add_constraint(std::move(instance_row), lp::Relation::kGe,
-                         double(instance_floors[cls]));
-    relax.add_constraint(std::move(license_row), lp::Relation::kGe,
-                         double(vendor_floors[cls]));
-  }
-  if (!area_row.empty()) {
-    relax.add_constraint(std::move(area_row), lp::Relation::kLe,
-                         double(spec.area_limit));
-  }
-  const lp::LpResult priced = lp::solve(relax);
-  switch (priced.status) {
-    case lp::LpStatus::kOptimal:
-      return static_cast<long long>(std::ceil(priced.objective - 1e-6));
-    case lp::LpStatus::kInfeasible:
-      return LLONG_MAX / 4;
-    default:
-      return -1;
-  }
 }
 
 OptimizeResult minimize_cost_ilp_warm(const ProblemSpec& spec,

@@ -77,21 +77,4 @@ OptimizeResult minimize_cost_ilp_warm(const ProblemSpec& spec,
                                       const Solution& warm,
                                       const ilp::BnbOptions& options = {});
 
-/// Prices a *reduced* LP relaxation of the formulation for the license-set
-/// branch-and-bound: only the license indicators delta(k,t) plus one
-/// aggregate instance-count column per (vendor, class) survive; the
-/// schedule variables are replaced by the aggregated capacity rows implied
-/// by `instance_floors` (minimum concurrent instances per class, see
-/// core/bounds.hpp) and `vendor_floors` (minimum distinct licenses per
-/// class), with per-offer capacity links n <= cap * delta and the area
-/// budget kept exact. Every feasible design of `spec` induces a feasible
-/// point of this LP with equal license cost, so ceil(LP objective) is a
-/// valid lower bound on the optimum. Returns -1 when the simplex does not
-/// reach kOptimal (iteration limit / unbounded) and LLONG_MAX/4 when the
-/// relaxation itself is infeasible (the spec has no feasible design).
-long long license_lp_lower_bound(
-    const ProblemSpec& spec,
-    const std::array<int, dfg::kNumResourceClasses>& instance_floors,
-    const std::array<int, dfg::kNumResourceClasses>& vendor_floors);
-
 }  // namespace ht::core

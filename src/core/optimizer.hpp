@@ -92,9 +92,6 @@ struct OptimizeStats {
   /// (core/bounds.hpp) before any CSP dispatch — the global cost floor and
   /// the per-palette instance/area floors.
   long lb_prunes = 0;
-  /// LP relaxations actually priced (cache misses) for the opt-in LP
-  /// bound; a warm engine reuses the memoized bound and reports 0.
-  long lb_lp_solves = 0;
   /// Counter-bucket entries examined by the nogood propagator
   /// (CspResult::watch_visits), aggregated like nodes_total. The name
   /// predates the counters and stays for wire and bench-log compatibility.

@@ -306,8 +306,6 @@ void SearchCache::clear() {
     shard.frozen.clear();
     shard.live.clear();
   }
-  std::unique_lock<std::shared_mutex> lock(lp_mutex_);
-  lp_bounds_.clear();
 }
 
 void SearchCache::adopt(std::shared_ptr<const CacheSnapshot> base) {
@@ -340,91 +338,7 @@ CacheSnapshot SearchCache::export_delta() const {
   }
   std::sort(delta.proofs.begin(), delta.proofs.end(), cache_proof_less);
   compact_cache_proofs(&delta.proofs);
-  {
-    std::shared_lock<std::shared_mutex> lock(lp_mutex_);
-    for (const LpEntry& entry : lp_bounds_) {
-      delta.lp_memos.push_back(LpMemo{entry.sig, entry.cost_digest,
-                                      entry.bound});
-    }
-  }
-  std::sort(delta.lp_memos.begin(), delta.lp_memos.end(),
-            [](const LpMemo& a, const LpMemo& b) {
-              if (a.cost_digest != b.cost_digest) {
-                return a.cost_digest < b.cost_digest;
-              }
-              if (a.bound != b.bound) return a.bound < b.bound;
-              return signature_less(a.sig, b.sig);
-            });
   return delta;
-}
-
-namespace {
-
-/// Digest of everything the LP bound prices that the family fingerprint
-/// deliberately ignores: which offers exist and what their licenses cost.
-std::uint64_t catalog_cost_digest(const ProblemSpec& spec) {
-  Fnv h;
-  for (vendor::VendorId v = 0; v < spec.catalog.num_vendors(); ++v) {
-    for (int cls = 0; cls < dfg::kNumResourceClasses; ++cls) {
-      const auto rc = static_cast<dfg::ResourceClass>(cls);
-      if (!spec.catalog.offers(v, rc)) {
-        h.mix(-1);
-        continue;
-      }
-      h.mix(spec.catalog.offer(v, rc).cost);
-    }
-  }
-  return h.state;
-}
-
-bool same_signature(const PaletteSignature& a, const PaletteSignature& b) {
-  return a.masks == b.masks && a.lambda_detection == b.lambda_detection &&
-         a.lambda_recovery == b.lambda_recovery &&
-         a.area_limit == b.area_limit;
-}
-
-}  // namespace
-
-bool SearchCache::lp_bound(const ProblemSpec& spec,
-                           const PaletteSignature& sig,
-                           long long* bound) const {
-  const std::uint64_t digest = catalog_cost_digest(spec);
-  if (base_ != nullptr) {
-    for (const LpMemo& memo : base_->lp_memos) {
-      if (memo.cost_digest == digest && same_signature(memo.sig, sig)) {
-        *bound = memo.bound;
-        return true;
-      }
-    }
-  }
-  std::shared_lock<std::shared_mutex> lock(lp_mutex_);
-  for (const LpEntry& entry : lp_bounds_) {
-    if (entry.cost_digest == digest && same_signature(entry.sig, sig)) {
-      *bound = entry.bound;
-      return true;
-    }
-  }
-  return false;
-}
-
-void SearchCache::store_lp_bound(const ProblemSpec& spec,
-                                 const PaletteSignature& sig,
-                                 long long bound) {
-  const std::uint64_t digest = catalog_cost_digest(spec);
-  if (base_ != nullptr) {
-    for (const LpMemo& memo : base_->lp_memos) {
-      if (memo.cost_digest == digest && same_signature(memo.sig, sig)) {
-        return;  // the adopted tier already carries this memo
-      }
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(lp_mutex_);
-  for (const LpEntry& entry : lp_bounds_) {
-    if (entry.cost_digest == digest && same_signature(entry.sig, sig)) {
-      return;  // already priced (bounds are deterministic, values agree)
-    }
-  }
-  lp_bounds_.push_back(LpEntry{sig, digest, bound});
 }
 
 // ---- StaticScreens ------------------------------------------------------

@@ -74,13 +74,6 @@ struct CacheProof {
   long long combo_cost = 0;
 };
 
-/// One LP lower-bound memo (see SearchCache::lp_bound), snapshot form.
-struct LpMemo {
-  PaletteSignature sig;
-  std::uint64_t cost_digest = 0;
-  long long bound = 0;
-};
-
 /// Immutable always-sealed cache tier shared read-only between concurrent
 /// engines serving the same spec family. Proofs are kept as a compacted
 /// dominance antichain in canonical (combo_cost, signature) order so merges
@@ -89,7 +82,6 @@ struct CacheSnapshot {
   std::uint64_t fingerprint = 0;       ///< spec_family_fingerprint
   std::vector<long long> offer_areas;  ///< union layout, -1 = unseen
   std::vector<CacheProof> proofs;
-  std::vector<LpMemo> lp_memos;
 };
 
 /// Canonical order of snapshot proofs: by combo cost, then by signature
@@ -146,21 +138,6 @@ class SearchCache {
   void finalize_context(std::uint64_t epoch, std::uint64_t ctx,
                         long long keep_below);
 
-  /// Cached LP cost lower bounds (core/ilp_formulation.hpp:
-  /// license_lp_lower_bound), keyed by the exact signature of the market
-  /// they were priced for. Family scoping rides on begin_op(): an
-  /// incompatible spec drops these together with the dominance entries, so
-  /// a hit is always a bound proved for this spec family — which is what
-  /// lets repeated minimize/reoptimize/frontier calls skip the simplex.
-  /// Because the LP prices licenses — and license costs are deliberately
-  /// *not* part of the family fingerprint (feasibility proofs don't depend
-  /// on them) — each memo entry also carries a digest of the catalog's
-  /// costs, computed from `spec` on both store and lookup.
-  bool lp_bound(const ProblemSpec& spec, const PaletteSignature& sig,
-                long long* bound) const;
-  void store_lp_bound(const ProblemSpec& spec, const PaletteSignature& sig,
-                      long long bound);
-
   /// Installs `base` as an always-sealed read-only tier underneath this
   /// store, dropping everything the store held before. Frozen queries scan
   /// the base tier in addition to the store's own frozen entries; the
@@ -171,10 +148,10 @@ class SearchCache {
   /// engine operations only.
   void adopt(std::shared_ptr<const CacheSnapshot> base);
 
-  /// Exports the store's *own* surviving entries (frozen + live tiers and
-  /// LP memos — the adopted base is excluded) in canonical order. Call
-  /// after the operation's finalize_context() so the live tier has been
-  /// pruned to its deterministically-dispatched prefix.
+  /// Exports the store's *own* surviving entries (frozen + live tiers —
+  /// the adopted base is excluded) in canonical order. Call after the
+  /// operation's finalize_context() so the live tier has been pruned to its
+  /// deterministically-dispatched prefix.
   CacheSnapshot export_delta() const;
 
   std::size_t size() const;
@@ -213,15 +190,6 @@ class SearchCache {
              std::uint64_t ctx, bool frozen_only) const;
 
   std::array<Shard, kShards> shards_;
-  /// LP bound memo: small (one entry per distinct market priced), so a
-  /// single mutex suffices.
-  struct LpEntry {
-    PaletteSignature sig;
-    std::uint64_t cost_digest = 0;
-    long long bound = 0;
-  };
-  mutable std::shared_mutex lp_mutex_;
-  std::vector<LpEntry> lp_bounds_;
   /// Adopted always-sealed tier (see adopt()); nullptr when running cold.
   /// Immutable and refcounted, so concurrent engines share one copy.
   std::shared_ptr<const CacheSnapshot> base_;

@@ -62,24 +62,42 @@ long long OccupancySkyline::peak_area() const {
 
 int energetic_interval_floor(const std::vector<EnergeticItem>& items,
                              int lambda) {
-  if (lambda <= 0) return 0;
+  // Only windows [a, b] with a = some item's lo and b = some item's hi can
+  // attain the max: shrinking any window to the tightest bounds of the
+  // items it contains keeps its demand and narrows its width. So sweep
+  // window starts over the distinct lo values, latest first, adding the
+  // items that start there into per-hi buckets; each start then scans the
+  // distinct hi values in order, accumulating demand. O(n log n + L * H)
+  // for L distinct starts and H distinct ends, independent of lambda.
+  std::vector<const EnergeticItem*> confined;
+  std::vector<int> ends;
+  for (const EnergeticItem& item : items) {
+    if (item.lo >= 1 && item.hi <= lambda) {
+      confined.push_back(&item);
+      ends.push_back(item.hi);
+    }
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::sort(confined.begin(), confined.end(),
+            [](const EnergeticItem* x, const EnergeticItem* y) {
+              return x->lo > y->lo;
+            });
+  const auto end_rank = [&](int hi) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ends.begin(), ends.end(), hi) - ends.begin());
+  };
+  std::vector<long long> ending(ends.size(), 0);
   int floor = 0;
-  // ending.ref(b) accumulates the demand of items whose occupancy ends at b
-  // among those confined to [a, lambda]; re-bucketed per window start a.
-  // The O(1) stamped reset is what makes the per-a rebucketing cheap.
-  util::FastResetVector<long long> ending(
-      static_cast<std::size_t>(lambda) + 1);
-  for (int a = 1; a <= lambda; ++a) {
-    ending.reset();
-    for (const EnergeticItem& item : items) {
-      if (item.lo >= a && item.hi <= lambda) {
-        ending.ref(static_cast<std::size_t>(item.hi)) += item.demand;
-      }
+  for (std::size_t i = 0; i < confined.size();) {
+    const int a = confined[i]->lo;
+    for (; i < confined.size() && confined[i]->lo == a; ++i) {
+      ending[end_rank(confined[i]->hi)] += confined[i]->demand;
     }
     long long demand = 0;
-    for (int b = a; b <= lambda; ++b) {
-      demand += ending.get(static_cast<std::size_t>(b));
-      const long long width = b - a + 1;
+    for (std::size_t h = end_rank(a); h < ends.size(); ++h) {
+      demand += ending[h];
+      const long long width = ends[h] - a + 1;
       const long long need = (demand + width - 1) / width;
       floor = std::max(floor, static_cast<int>(need));
     }

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/fast_reset.hpp"
 #include "util/mask_kernels.hpp"
 
 namespace ht::core {
@@ -86,7 +85,8 @@ struct EnergeticItem {
 
 /// Max over windows [a, b] within [1, lambda] of
 /// ceil(sum of demand of items with a <= lo and hi <= b, / (b - a + 1)).
-/// Bit-identical to the historical double sweep in bounds.cpp.
+/// Items must satisfy lo <= hi. Bit-identical to the full sweep over every
+/// window, at a cost set by the item count rather than by lambda.
 int energetic_interval_floor(const std::vector<EnergeticItem>& items,
                              int lambda);
 

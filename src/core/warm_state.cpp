@@ -6,12 +6,6 @@
 namespace ht::core {
 namespace {
 
-bool same_signature(const PaletteSignature& a, const PaletteSignature& b) {
-  return a.masks == b.masks && a.lambda_detection == b.lambda_detection &&
-         a.lambda_recovery == b.lambda_recovery &&
-         a.area_limit == b.area_limit;
-}
-
 /// Same offer-area compatibility rule as the stores' begin_op: an offer
 /// seen by both sides must have the same area; offers only one side has
 /// seen union in. Layout lengths differ only across vendor-count changes,
@@ -42,8 +36,7 @@ WarmSnapshotPtr snapshot_from_delta(std::uint64_t market,
 }  // namespace
 
 bool warm_delta_empty(const WarmDelta& delta) {
-  return delta.cache.proofs.empty() && delta.cache.lp_memos.empty() &&
-         delta.nogoods.entries.empty();
+  return delta.cache.proofs.empty() && delta.nogoods.entries.empty();
 }
 
 WarmSnapshotPtr merge_warm(const WarmSnapshotPtr& base, std::uint64_t market,
@@ -87,17 +80,6 @@ WarmSnapshotPtr merge_warm(const WarmSnapshotPtr& base, std::uint64_t market,
   std::stable_sort(next->cache.proofs.begin(), next->cache.proofs.end(),
                    cache_proof_less);
   compact_cache_proofs(&next->cache.proofs);
-
-  next->cache.lp_memos = base->cache.lp_memos;
-  for (const LpMemo& memo : delta.cache.lp_memos) {
-    const bool known = std::any_of(
-        base->cache.lp_memos.begin(), base->cache.lp_memos.end(),
-        [&](const LpMemo& have) {
-          return have.cost_digest == memo.cost_digest &&
-                 same_signature(have.sig, memo.sig);
-        });
-    if (!known) next->cache.lp_memos.push_back(memo);
-  }
 
   next->nogoods.fingerprint = base->nogoods.fingerprint;
   next->nogoods.offer_areas = std::move(nogood_areas);

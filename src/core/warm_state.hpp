@@ -3,14 +3,14 @@
 // A WarmSnapshot is an immutable, refcounted bundle of everything a
 // SynthesisEngine accumulates that is worth keeping between requests of one
 // spec family ("market"): the SearchCache's sealed infeasibility proofs and
-// LP-bound memos, and the NogoodStore's sealed guarded nogoods. The service
-// publishes at most one snapshot per market under an RCU-style pointer
-// swap: a request grabs the current pointer (cheap, under the market
-// mutex), adopts it into a pooled engine (SynthesisEngine::adopt_warm),
-// solves with NO market lock held, and on completion its surviving delta is
-// folded into the next snapshot by merge_warm() — a short deterministic
-// merge under the lock. Readers holding the old snapshot keep it alive via
-// the shared_ptr refcount; nothing is ever mutated in place.
+// the NogoodStore's sealed guarded nogoods. The service publishes at most
+// one snapshot per market under an RCU-style pointer swap: a request grabs
+// the current pointer (cheap, under the market mutex), adopts it into a
+// pooled engine (SynthesisEngine::adopt_warm), solves with NO market lock
+// held, and on completion its surviving delta is folded into the next
+// snapshot by merge_warm() — a short deterministic merge under the lock.
+// Readers holding the old snapshot keep it alive via the shared_ptr
+// refcount; nothing is ever mutated in place.
 //
 // Why sharing is safe: both stores already split entries into an immutable
 // sealed tier (the only tier dispatch-path queries may consult) and a

@@ -16,7 +16,7 @@ constexpr const char* kStageNames[kNumStages] = {
 };
 
 constexpr const char* kPruneNames[kNumPruneReasons] = {"screen", "cache",
-                                                       "bound", "lp"};
+                                                       "bound"};
 
 }  // namespace
 

@@ -32,7 +32,7 @@ enum class Stage {
   kScreen,           ///< static feasibility screens, per license set
   kCacheProbe,       ///< dominance-cache frozen-tier lookups
   kBoundsRefute,     ///< per-palette branch-and-bound floor checks
-  kLpBound,          ///< LP relaxation pricing of the global cost floor
+  kLpBound,          ///< no longer recorded; kept for the benchmark's build
   kCspDispatch,      ///< full license-set evaluation (greedy + CSP)
   kNogoodPropagation,  ///< nogood blocking checks inside the CSP
   kValidation,       ///< solution validation before commit
@@ -43,10 +43,9 @@ inline constexpr int kNumStages = 9;
 const char* stage_name(Stage stage);
 
 /// Why a license set was skipped without CSP dispatch. kBound is the
-/// combinatorial floor / per-palette floors; kLp marks sets only the
-/// LP-tightened portion of the cost floor refutes.
-enum class PruneReason { kScreen = 0, kCache, kBound, kLp };
-inline constexpr int kNumPruneReasons = 4;
+/// combinatorial cost floor / per-palette floors.
+enum class PruneReason { kScreen = 0, kCache, kBound };
+inline constexpr int kNumPruneReasons = 3;
 
 const char* prune_reason_name(PruneReason reason);
 
@@ -90,7 +89,7 @@ struct SolveMetrics {
 
 /// Stable JSON serialization:
 /// {"stages": {"screen": {"count": N, "total_ns": N, "buckets": [8 x N]},
-///  ...}, "prunes": {"screen": N, "cache": N, "bound": N, "lp": N}}
+///  ...}, "prunes": {"screen": N, "cache": N, "bound": N}}
 std::string to_json(const SolveMetrics& metrics);
 
 /// Parses the to_json() format (unknown keys tolerated). Returns false on

@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/strings.hpp"
+
 namespace ht::service {
 namespace {
 
@@ -89,7 +91,9 @@ std::unique_ptr<Client> Client::connect(const std::string& endpoint,
     }
     try {
       return connect_tcp(rest.substr(0, colon),
-                         std::stoi(rest.substr(colon + 1)), error);
+                         util::parse_number<int>(rest.substr(colon + 1),
+                                                 "tcp port"),
+                         error);
     } catch (const std::exception&) {
       fail(error, "bad tcp port in endpoint " + endpoint);
       return nullptr;

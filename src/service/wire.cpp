@@ -162,7 +162,6 @@ Json stats_to_json(const core::OptimizeStats& stats) {
   json.set("backjumps", stats.backjumps);
   json.set("restarts", stats.restarts);
   json.set("lb_prunes", stats.lb_prunes);
-  json.set("lb_lp_solves", stats.lb_lp_solves);
   json.set("nogood_watch_visits", stats.nogood_watch_visits);
   json.set("incumbents_published", stats.incumbents_published);
   json.set("sls_steps", stats.sls_steps);
@@ -184,7 +183,6 @@ void stats_from_json(const Json& json, core::OptimizeStats* out) {
   out->backjumps = json.get("backjumps").as_int(0);
   out->restarts = json.get("restarts").as_int(0);
   out->lb_prunes = json.get("lb_prunes").as_int(0);
-  out->lb_lp_solves = json.get("lb_lp_solves").as_int(0);
   out->nogood_watch_visits = json.get("nogood_watch_visits").as_int(0);
   out->incumbents_published = json.get("incumbents_published").as_int(0);
   out->sls_steps = json.get("sls_steps").as_int(0);
@@ -412,7 +410,6 @@ Json request_to_json(const core::SynthesisRequest& request) {
   limits.set("heuristic_node_limit",
              static_cast<long long>(request.limits.heuristic_node_limit));
   limits.set("max_combos", static_cast<long long>(request.limits.max_combos));
-  limits.set("intra_palette_split", request.limits.intra_palette_split);
   json.set("limits", std::move(limits));
 
   Json parallelism = Json::object();
@@ -424,15 +421,10 @@ Json request_to_json(const core::SynthesisRequest& request) {
   pruning.set("static_screens", request.pruning.static_screens);
   pruning.set("nogood_learning", request.pruning.nogood_learning);
   pruning.set("cost_bounds", request.pruning.cost_bounds);
-  pruning.set("lp_bound", request.pruning.lp_bound);
   json.set("pruning", std::move(pruning));
 
   Json portfolio = Json::object();
   portfolio.set("enabled", request.portfolio.enabled);
-  portfolio.set("greedy_member", request.portfolio.greedy_member);
-  portfolio.set("sls_member", request.portfolio.sls_member);
-  portfolio.set("sls_restarts", request.portfolio.sls_restarts);
-  portfolio.set("sls_perturbations", request.portfolio.sls_perturbations);
   json.set("portfolio", std::move(portfolio));
 
   Json observability = Json::object();
@@ -490,9 +482,6 @@ bool request_from_json(const Json& json, core::SynthesisRequest* out,
           .as_int(request.limits.heuristic_node_limit));
   request.limits.max_combos = static_cast<long>(
       limits.get("max_combos").as_int(request.limits.max_combos));
-  request.limits.intra_palette_split = static_cast<int>(
-      limits.get("intra_palette_split")
-          .as_int(request.limits.intra_palette_split));
 
   request.parallelism.threads = static_cast<int>(
       json.get("parallelism").get("threads")
@@ -507,21 +496,10 @@ bool request_from_json(const Json& json, core::SynthesisRequest* out,
       pruning.get("nogood_learning").as_bool(request.pruning.nogood_learning);
   request.pruning.cost_bounds =
       pruning.get("cost_bounds").as_bool(request.pruning.cost_bounds);
-  request.pruning.lp_bound =
-      pruning.get("lp_bound").as_bool(request.pruning.lp_bound);
 
   const Json& portfolio = json.get("portfolio");
   request.portfolio.enabled =
       portfolio.get("enabled").as_bool(request.portfolio.enabled);
-  request.portfolio.greedy_member =
-      portfolio.get("greedy_member").as_bool(request.portfolio.greedy_member);
-  request.portfolio.sls_member =
-      portfolio.get("sls_member").as_bool(request.portfolio.sls_member);
-  request.portfolio.sls_restarts = static_cast<int>(
-      portfolio.get("sls_restarts").as_int(request.portfolio.sls_restarts));
-  request.portfolio.sls_perturbations = static_cast<int>(
-      portfolio.get("sls_perturbations")
-          .as_int(request.portfolio.sls_perturbations));
 
   request.observability.metrics =
       json.get("observability").get("metrics")
@@ -712,15 +690,6 @@ Json warm_snapshot_to_json(const core::WarmSnapshot& snapshot) {
     proofs.push_back(std::move(entry));
   }
   cache.set("proofs", std::move(proofs));
-  Json memos = Json::array();
-  for (const core::LpMemo& memo : snapshot.cache.lp_memos) {
-    Json entry = Json::object();
-    entry.set("sig", signature_to_json(memo.sig));
-    entry.set("digest", u64_hex(memo.cost_digest));
-    entry.set("bound", memo.bound);
-    memos.push_back(std::move(entry));
-  }
-  cache.set("lp_memos", std::move(memos));
   json.set("cache", std::move(cache));
 
   Json nogoods = Json::object();
@@ -784,20 +753,6 @@ bool warm_snapshot_from_json(const Json& json, core::WarmSnapshot* out,
         }
         proof.combo_cost = entry.get("cost").as_int(0);
         snapshot.cache.proofs.push_back(proof);
-      }
-    }
-    const Json& memos = cache.get("lp_memos");
-    if (memos.is_array()) {
-      for (const Json& entry : memos.items()) {
-        core::LpMemo memo;
-        if (!signature_from_json(entry.get("sig"), &memo.sig, error)) {
-          return false;
-        }
-        if (!u64_from_hex(entry.get("digest"), &memo.cost_digest)) {
-          return fail(error, "lp memo missing hex digest");
-        }
-        memo.bound = entry.get("bound").as_int(0);
-        snapshot.cache.lp_memos.push_back(memo);
       }
     }
   }

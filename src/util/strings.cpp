@@ -1,7 +1,11 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
+
+#include "util/status.hpp"
 
 namespace ht::util {
 
@@ -74,5 +78,28 @@ std::string format_money(long long dollars) {
   if (dollars < 0) return "-$" + with_commas(-dollars);
   return "$" + with_commas(dollars);
 }
+
+template <typename T>
+T parse_number(std::string_view token, std::string_view what) {
+  T value{};
+  const char* const end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw SpecError(std::string(what) + ": value '" + std::string(token) +
+                    "' is out of range");
+  }
+  if (token.empty() || ec != std::errc() || stop != end) {
+    throw SpecError(std::string(what) + ": expected a number, got '" +
+                    std::string(token) + "'");
+  }
+  return value;
+}
+
+template int parse_number<int>(std::string_view, std::string_view);
+template long long parse_number<long long>(std::string_view,
+                                           std::string_view);
+template unsigned long long parse_number<unsigned long long>(
+    std::string_view, std::string_view);
+template double parse_number<double>(std::string_view, std::string_view);
 
 }  // namespace ht::util

@@ -28,4 +28,12 @@ std::string with_commas(long long value);
 /// "$4,160" style money formatting (integral dollars).
 std::string format_money(long long dollars);
 
+/// Parses the whole of `token` as a T (a base-10 integer, or a decimal
+/// floating-point number for double) with std::from_chars. Throws SpecError
+/// naming `what` (a CLI flag, say) on an empty token, on anything that is
+/// not a number, on trailing characters and on values outside T's range.
+/// Instantiated for int, long long, unsigned long long and double.
+template <typename T>
+T parse_number(std::string_view token, std::string_view what);
+
 }  // namespace ht::util

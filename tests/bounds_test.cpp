@@ -4,9 +4,7 @@
 //   * the global cost floor is at or below the true optimum whenever a
 //     feasible design exists (cross-checked against both the bounds-off
 //     exact engine and the independent ILP formulation);
-//   * a refuted full market implies the instance is genuinely infeasible;
-//   * the LP bound, when the simplex converges, never exceeds the optimum
-//     and never declares a feasible instance's relaxation infeasible.
+//   * a refuted full market implies the instance is genuinely infeasible.
 #include "core/bounds.hpp"
 
 #include <gtest/gtest.h>
@@ -26,9 +24,8 @@ namespace {
 
 using dfg::ResourceClass;
 
-/// Sentinel license_lp_lower_bound / LowerBounds use for "no market can
-/// supply the floors" (kept well away from LLONG_MAX so incumbent
-/// comparisons cannot overflow).
+/// Sentinel LowerBounds uses for "no market can supply the floors" (kept
+/// well away from LLONG_MAX so incumbent comparisons cannot overflow).
 constexpr long long kUnsuppliable = LLONG_MAX / 4;
 
 Palettes full_palettes(const ProblemSpec& spec) {
@@ -75,14 +72,6 @@ TEST_P(BoundsPropertyTest, EveryLowerBoundIsAtOrBelowTheTrueOptimum) {
 
     EXPECT_LE(bounds.global_cost_lb(), truth.cost)
         << "combinatorial floor above the true optimum";
-
-    const long long lp = license_lp_lower_bound(
-        spec, bounds.instance_floors(), bounds.vendor_floors());
-    EXPECT_NE(lp, kUnsuppliable)
-        << "LP relaxation infeasible on a feasible instance";
-    if (lp >= 0) {
-      EXPECT_LE(lp, truth.cost) << "LP bound above the true optimum";
-    }
 
     // Independent oracle: the ILP formulation must agree with the engine,
     // and the floors must sit below its optimum too.

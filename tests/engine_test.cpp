@@ -186,7 +186,7 @@ OptimizeResult run_csp_bound(const ProblemSpec& spec, int threads) {
   return synthesize(request).result;
 }
 
-TEST(EngineFlatStateTest, SameVerdictAcrossThreadCounts) {
+TEST(EngineDeterminismTest, SameVerdictAcrossThreadCounts) {
   // Full CSP-bound solves at 4 and 8 threads: the engine's cross-thread
   // contract is status/cost identity with the single-threaded reference
   // (stats may include speculative evaluations past the winner, so node
@@ -225,7 +225,7 @@ OptimizeResult run_window(const ProblemSpec& spec, int threads) {
   return synthesize(request).result;
 }
 
-TEST(EngineFlatStateTest, BoundedWindowNodeIdentityAcrossThreadCounts) {
+TEST(EngineDeterminismTest, BoundedWindowNodeIdentityAcrossThreadCounts) {
   // At N threads the dispatch set is deterministic only while no in-window
   // incumbent exists (workers race the commit of a winner, so sets at or
   // above its cost are speculatively dispatched or not). Bounding the
@@ -284,10 +284,6 @@ ProblemSpec two_adder_spec(int lambda) {
 TEST(EngineInputLimitsTest, LatencyBoundMustStayBelowSwarCycleLimit) {
   SynthesisRequest request;
   request.spec = two_adder_spec(util::kSwarCycleLimit - 1);
-  // The energetic floors sweep every cycle window, quadratic in lambda
-  // (seconds at this bound), so they are off; acceptance does not depend
-  // on them.
-  request.pruning.cost_bounds = false;
   const OptimizeResult widest = synthesize(request).result;
   EXPECT_EQ(widest.status, OptStatus::kOptimal);
   require_valid(request.spec, widest.solution);

@@ -90,7 +90,6 @@ TEST(MetricsTest, JsonRoundTripIsLossless) {
   m.add_prune(PruneReason::kScreen, 7);
   m.add_prune(PruneReason::kCache, 3);
   m.add_prune(PruneReason::kBound, 11);
-  m.add_prune(PruneReason::kLp, 1);
 
   const std::string json = to_json(m);
   SolveMetrics parsed;
@@ -369,9 +368,7 @@ TEST(ObsEngineTest, PruneReasonAccountingMatchesOptimizeStats) {
             result.stats.combos_skipped_screen);
   EXPECT_EQ(m.prune(obs::PruneReason::kCache),
             result.stats.combos_skipped_cache);
-  EXPECT_EQ(m.prune(obs::PruneReason::kBound) +
-                m.prune(obs::PruneReason::kLp),
-            result.stats.lb_prunes);
+  EXPECT_EQ(m.prune(obs::PruneReason::kBound), result.stats.lb_prunes);
   // The tight spec's point: a real prune-heavy search.
   EXPECT_GT(result.stats.combos_skipped_screen + result.stats.lb_prunes,
             kPruneProgressInterval);

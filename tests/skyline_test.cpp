@@ -131,13 +131,19 @@ int brute_force_floor(const std::vector<EnergeticItem>& items, int lambda) {
 TEST(SkylineTest, EnergeticFloorEqualsBruteForceRandomized) {
   util::Rng rng(4321);
   for (int round = 0; round < 300; ++round) {
-    const int lambda = static_cast<int>(rng.uniform_int(1, 14));
-    const int n = static_cast<int>(rng.uniform_int(0, 12));
+    // Every third round draws a few sparse items on a wide horizon, where
+    // most windows contain nothing and the item bounds are far apart.
+    const bool wide = round % 3 == 2;
+    const int lambda = static_cast<int>(
+        wide ? rng.uniform_int(15, 400) : rng.uniform_int(1, 14));
+    const int n = static_cast<int>(rng.uniform_int(0, wide ? 8 : 12));
     std::vector<EnergeticItem> items;
     for (int i = 0; i < n; ++i) {
       EnergeticItem item;
       item.lo = static_cast<int>(rng.uniform_int(1, lambda));
-      item.hi = static_cast<int>(rng.uniform_int(item.lo, lambda));
+      const int span_cap =
+          wide && rng.chance(0.7) ? std::min(lambda, item.lo + 20) : lambda;
+      item.hi = static_cast<int>(rng.uniform_int(item.lo, span_cap));
       item.demand = rng.uniform_int(1, 40);
       items.push_back(item);
     }

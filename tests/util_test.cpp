@@ -172,6 +172,44 @@ TEST(StringsTest, FormatMoney) {
   EXPECT_EQ(format_money(-5), "-$5");
 }
 
+TEST(StringsTest, ParseNumberReadsWholeTokens) {
+  EXPECT_EQ(parse_number<int>("4", "--threads"), 4);
+  EXPECT_EQ(parse_number<int>("-7", "--priority"), -7);
+  EXPECT_EQ(parse_number<long long>("9000000000", "--area"), 9'000'000'000LL);
+  EXPECT_EQ(parse_number<unsigned long long>("18446744073709551615", "--seed"),
+            18'446'744'073'709'551'615ULL);
+  EXPECT_DOUBLE_EQ(parse_number<double>("2.5", "--time-limit"), 2.5);
+  EXPECT_DOUBLE_EQ(parse_number<double>("1e-3", "--time-limit"), 0.001);
+}
+
+TEST(StringsTest, ParseNumberRejectsJunkTrailingAndOverflowNamingTheFlag) {
+  const auto message_of = [](auto parse) -> std::string {
+    try {
+      parse();
+    } catch (const SpecError& error) {
+      return error.what();
+    }
+    return "";
+  };
+  for (const char* bad : {"", "x", "4x", " 4", "4 ", "0x10", "--1"}) {
+    const std::string message =
+        message_of([&] { parse_number<int>(bad, "--threads"); });
+    EXPECT_NE(message.find("--threads"), std::string::npos)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_number<int>("2147483648", "--threads"), SpecError);
+  EXPECT_THROW(parse_number<int>("-2147483649", "--threads"), SpecError);
+  EXPECT_THROW(parse_number<unsigned long long>("-1", "--seed"), SpecError);
+  EXPECT_THROW(
+      parse_number<unsigned long long>("18446744073709551616", "--seed"),
+      SpecError);
+  EXPECT_THROW(parse_number<double>("1e999", "--time-limit"), SpecError);
+  EXPECT_THROW(parse_number<double>("2.5s", "--time-limit"), SpecError);
+  EXPECT_NE(message_of([] { parse_number<int>("99999999999", "--workers"); })
+                .find("out of range"),
+            std::string::npos);
+}
+
 // ---- table ----------------------------------------------------------------
 
 TEST(TableTest, AlignsColumns) {

@@ -105,13 +105,12 @@ core::SynthesisRequest fully_loaded_request() {
   request.limits.heuristic_restarts = 9;
   request.limits.heuristic_node_limit = 4321;
   request.limits.max_combos = 777;
-  request.limits.intra_palette_split = 3;
   request.parallelism.threads = 4;
   request.pruning.dominance_cache = false;
   request.pruning.static_screens = false;
   request.pruning.nogood_learning = false;
   request.pruning.cost_bounds = false;
-  request.pruning.lp_bound = true;
+  request.portfolio.enabled = true;
   request.observability.metrics = true;
   request.seed = 99;
   request.lambda_total = 8;
@@ -133,10 +132,10 @@ TEST(WireRequestTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.strategy, core::Strategy::kHeuristic);
   EXPECT_DOUBLE_EQ(parsed.limits.time_limit_seconds, 7.25);
   EXPECT_EQ(parsed.limits.csp_node_limit, 12345);
-  EXPECT_EQ(parsed.limits.intra_palette_split, 3);
+  EXPECT_EQ(parsed.limits.max_combos, 777);
   EXPECT_EQ(parsed.parallelism.threads, 4);
   EXPECT_FALSE(parsed.pruning.dominance_cache);
-  EXPECT_TRUE(parsed.pruning.lp_bound);
+  EXPECT_TRUE(parsed.portfolio.enabled);
   EXPECT_TRUE(parsed.observability.metrics);
   EXPECT_EQ(parsed.seed, 99u);
   EXPECT_EQ(parsed.lambda_total, 8);
@@ -165,7 +164,7 @@ TEST(WireRequestTest, MinimalDocumentTakesStructDefaults) {
   EXPECT_EQ(parsed.limits.max_combos, defaults.limits.max_combos);
   EXPECT_EQ(parsed.parallelism.threads, 1);
   EXPECT_TRUE(parsed.pruning.dominance_cache);
-  EXPECT_FALSE(parsed.pruning.lp_bound);
+  EXPECT_FALSE(parsed.portfolio.enabled);
   EXPECT_FALSE(parsed.observability.metrics);
   EXPECT_EQ(parsed.seed, defaults.seed);
   EXPECT_TRUE(parsed.sweep_values.empty());
@@ -188,6 +187,31 @@ TEST(WireRequestTest, UnknownFieldsEverywhereAreIgnored) {
   std::string error;
   ASSERT_TRUE(request_from_json(doc, &parsed, &error)) << error;
   // Everything this reader understands is unchanged by the extras.
+  EXPECT_EQ(serialize_request(parsed), serialize_request(request));
+}
+
+TEST(WireRequestTest, RetiredKnobsFromOlderWritersAreIgnored) {
+  // Keys older writers emitted for options the engine no longer has: the
+  // opt-in LP cost bound, the intra-palette split override and the
+  // portfolio member toggles / SLS budgets.
+  const core::SynthesisRequest request = fully_loaded_request();
+  Json doc = request_to_json(request);
+  Json limits = doc.get("limits");
+  limits.set("intra_palette_split", 3);
+  doc.set("limits", std::move(limits));
+  Json pruning = doc.get("pruning");
+  pruning.set("lp_bound", true);
+  doc.set("pruning", std::move(pruning));
+  Json portfolio = doc.get("portfolio");
+  portfolio.set("greedy_member", false);
+  portfolio.set("sls_member", false);
+  portfolio.set("sls_restarts", 2);
+  portfolio.set("sls_perturbations", 5);
+  doc.set("portfolio", std::move(portfolio));
+
+  core::SynthesisRequest parsed;
+  std::string error;
+  ASSERT_TRUE(request_from_json(doc, &parsed, &error)) << error;
   EXPECT_EQ(serialize_request(parsed), serialize_request(request));
 }
 
@@ -338,14 +362,12 @@ TEST(WirePropertyTest, RandomRequestsRoundTripByteIdentically) {
     request.limits.heuristic_restarts =
         static_cast<int>(rng.uniform_int(1, 10));
     request.limits.max_combos = static_cast<long>(rng.uniform_int(1, 9999));
-    request.limits.intra_palette_split =
-        static_cast<int>(rng.uniform_int(0, 7));
     request.parallelism.threads = static_cast<int>(rng.uniform_int(0, 7));
     request.pruning.dominance_cache = rng.chance(0.5);
     request.pruning.static_screens = rng.chance(0.5);
     request.pruning.nogood_learning = rng.chance(0.5);
     request.pruning.cost_bounds = rng.chance(0.5);
-    request.pruning.lp_bound = rng.chance(0.5);
+    request.portfolio.enabled = rng.chance(0.5);
     request.observability.metrics = rng.chance(0.5);
     request.seed = rng.next_u64();
     request.lambda_total = static_cast<int>(rng.uniform_int(0, 31));
@@ -377,7 +399,7 @@ TEST(WirePropertyTest, RandomRequestsRoundTripByteIdentically) {
 
 // ---- warm snapshots -------------------------------------------------------
 
-TEST(WireWarmSnapshotTest, RoundTripsByteIdenticallyWithFullU64Range) {
+core::WarmSnapshot loaded_snapshot() {
   core::WarmSnapshot snapshot;
   snapshot.market = 0xfedcba9876543210ull;  // exercises the sign bit
   snapshot.version = 7;
@@ -390,11 +412,6 @@ TEST(WireWarmSnapshotTest, RoundTripsByteIdenticallyWithFullU64Range) {
   proof.sig.area_limit = 400000;
   proof.combo_cost = 1234;
   snapshot.cache.proofs.push_back(proof);
-  core::LpMemo memo;
-  memo.sig = proof.sig;
-  memo.cost_digest = 0xdeadbeefcafef00dull;
-  memo.bound = 999;
-  snapshot.cache.lp_memos.push_back(memo);
   snapshot.nogoods.fingerprint = snapshot.market;
   snapshot.nogoods.offer_areas = snapshot.cache.offer_areas;
   core::SealedNogood sealed;
@@ -403,6 +420,13 @@ TEST(WireWarmSnapshotTest, RoundTripsByteIdenticallyWithFullU64Range) {
   sealed.nogood.lits.push_back(core::NogoodLit{3, 1, 0, 8});
   sealed.nogood.lits.push_back(core::NogoodLit{5, 0, 2, 4});
   snapshot.nogoods.entries.push_back(sealed);
+  return snapshot;
+}
+
+TEST(WireWarmSnapshotTest, RoundTripsByteIdenticallyWithFullU64Range) {
+  const core::WarmSnapshot snapshot = loaded_snapshot();
+  const core::CacheProof& proof = snapshot.cache.proofs[0];
+  const core::SealedNogood& sealed = snapshot.nogoods.entries[0];
 
   const std::string wire = serialize_warm_snapshot(snapshot);
   core::WarmSnapshot parsed;
@@ -414,11 +438,37 @@ TEST(WireWarmSnapshotTest, RoundTripsByteIdenticallyWithFullU64Range) {
   ASSERT_EQ(parsed.cache.proofs.size(), 1u);
   EXPECT_EQ(parsed.cache.proofs[0].sig.masks, proof.sig.masks);
   EXPECT_EQ(parsed.cache.proofs[0].combo_cost, proof.combo_cost);
-  ASSERT_EQ(parsed.cache.lp_memos.size(), 1u);
-  EXPECT_EQ(parsed.cache.lp_memos[0].cost_digest, memo.cost_digest);
   ASSERT_EQ(parsed.nogoods.entries.size(), 1u);
   EXPECT_EQ(parsed.nogoods.entries[0].nogood, sealed.nogood);
   EXPECT_EQ(parsed.cache.offer_areas, snapshot.cache.offer_areas);
+}
+
+TEST(WireWarmSnapshotTest, RetiredLpMemosFromOlderWritersAreIgnored) {
+  // Older writers also exported LP cost-bound memos under cache.lp_memos;
+  // a reader must accept the list and keep every proof and nogood.
+  const core::WarmSnapshot snapshot = loaded_snapshot();
+  Json doc = warm_snapshot_to_json(snapshot);
+  Json cache = doc.get("cache");
+  Json memo = Json::object();
+  memo.set("sig", cache.get("proofs").items()[0].get("sig"));
+  memo.set("digest", "0xdeadbeefcafef00d");
+  memo.set("bound", 999);
+  Json memos = Json::array();
+  memos.push_back(std::move(memo));
+  cache.set("lp_memos", std::move(memos));
+  doc.set("cache", std::move(cache));
+
+  core::WarmSnapshot parsed;
+  std::string error;
+  ASSERT_TRUE(warm_snapshot_from_json(doc, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.cache.proofs.size(), 1u);
+  EXPECT_EQ(parsed.cache.proofs[0].sig.masks,
+            snapshot.cache.proofs[0].sig.masks);
+  ASSERT_EQ(parsed.nogoods.entries.size(), 1u);
+  EXPECT_EQ(parsed.nogoods.entries[0].nogood,
+            snapshot.nogoods.entries[0].nogood);
+  EXPECT_EQ(serialize_warm_snapshot(parsed),
+            serialize_warm_snapshot(snapshot));
 }
 
 TEST(WireWarmSnapshotTest, TolerantReadsAndVersionDiscipline) {

@@ -154,21 +154,21 @@ Options parse_args(int argc, char** argv) {
     if (flag == "--catalog") {
       options.catalog = need_value(flag);
     } else if (flag == "--lambda-det") {
-      options.lambda_det = std::stoi(need_value(flag));
+      options.lambda_det = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--lambda-rec") {
-      options.lambda_rec = std::stoi(need_value(flag));
+      options.lambda_rec = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--detection-only") {
       options.detection_only = true;
     } else if (flag == "--area") {
-      options.area = std::stoll(need_value(flag));
+      options.area = util::parse_number<long long>(need_value(flag), flag);
     } else if (flag == "--max-instances") {
-      options.max_instances = std::stoi(need_value(flag));
+      options.max_instances = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--strategy") {
       options.strategy = need_value(flag);
     } else if (flag == "--threads") {
-      options.threads = std::stoi(need_value(flag));
+      options.threads = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--time-limit") {
-      options.time_limit = std::stod(need_value(flag));
+      options.time_limit = util::parse_number<double>(need_value(flag), flag);
     } else if (flag == "--no-bounds") {
       options.cost_bounds = false;
     } else if (flag == "--no-screens") {
@@ -178,9 +178,10 @@ Options parse_args(int argc, char** argv) {
     } else if (flag == "--progress") {
       options.progress = true;
     } else if (flag == "--seed") {
-      options.seed = std::stoull(need_value(flag));
+      options.seed =
+          util::parse_number<unsigned long long>(need_value(flag), flag);
     } else if (flag == "--trials") {
-      options.trials = std::stoi(need_value(flag));
+      options.trials = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "-o") {
       options.out_file = need_value(flag);
     } else if (flag == "--share-registers") {

@@ -124,15 +124,16 @@ ClientOptions parse_args(int argc, char** argv) {
     if (flag == "--catalog") {
       options.spec.catalog = need_value(flag);
     } else if (flag == "--lambda-det") {
-      options.spec.lambda_det = std::stoi(need_value(flag));
+      options.spec.lambda_det = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--lambda-rec") {
-      options.spec.lambda_rec = std::stoi(need_value(flag));
+      options.spec.lambda_rec = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--detection-only") {
       options.spec.detection_only = true;
     } else if (flag == "--area") {
-      options.spec.area = std::stoll(need_value(flag));
+      options.spec.area = util::parse_number<long long>(need_value(flag), flag);
     } else if (flag == "--max-instances") {
-      options.spec.max_instances = std::stoi(need_value(flag));
+      options.spec.max_instances =
+          util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--no-screens") {
       options.engine.static_screens = false;
     } else if (flag == "--no-close-pairs") {
@@ -140,10 +141,11 @@ ClientOptions parse_args(int argc, char** argv) {
     } else if (flag == "--strategy") {
       options.engine.strategy = need_value(flag);
     } else if (flag == "--threads") {
-      options.engine.threads = std::stoi(need_value(flag));
+      options.engine.threads = util::parse_number<int>(need_value(flag), flag);
       options.threads_set = true;
     } else if (flag == "--time-limit") {
-      options.engine.time_limit = std::stod(need_value(flag));
+      options.engine.time_limit =
+          util::parse_number<double>(need_value(flag), flag);
     } else if (flag == "--no-bounds") {
       options.engine.cost_bounds = false;
     } else if (flag == "--portfolio") {
@@ -152,21 +154,21 @@ ClientOptions parse_args(int argc, char** argv) {
       options.engine.metrics = true;
     } else if (flag == "--seed") {
       options.spec.seed = options.engine.seed =
-          std::stoull(need_value(flag));
+          util::parse_number<unsigned long long>(need_value(flag), flag);
     } else if (flag == "--kind") {
       options.kind = need_value(flag);
     } else if (flag == "--lambda-total") {
-      options.lambda_total = std::stoi(need_value(flag));
+      options.lambda_total = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--sweep") {
       for (const std::string& token :
            util::split(need_value(flag), ',')) {
-        options.sweep.push_back(std::stoll(token));
+        options.sweep.push_back(util::parse_number<long long>(token, flag));
       }
     } else if (flag == "--priority") {
-      options.job.priority = std::stoi(need_value(flag));
+      options.job.priority = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--deadline-ms") {
       options.job.deadline_seconds =
-          std::stod(need_value(flag)) / 1000.0;
+          util::parse_number<double>(need_value(flag), flag) / 1000.0;
     } else if (flag == "--id") {
       options.job.id = need_value(flag);
     } else if (flag == "--cold") {
@@ -176,9 +178,9 @@ ClientOptions parse_args(int argc, char** argv) {
     } else if (flag == "--assert-warm-hits") {
       options.assert_warm_hits = true;
     } else if (flag == "--interval-ms") {
-      options.interval_ms = std::stoi(need_value(flag));
+      options.interval_ms = util::parse_number<int>(need_value(flag), flag);
     } else if (flag == "--count") {
-      options.count = std::stoi(need_value(flag));
+      options.count = util::parse_number<int>(need_value(flag), flag);
     } else {
       usage("unknown flag " + flag);
     }

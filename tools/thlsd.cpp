@@ -5,8 +5,8 @@
 // every request through per-vendor-market warm engine pools: same-market
 // requests run concurrently over a shared immutable warm-state snapshot
 // and fold what they learn back in, so repeated requests reuse the
-// accumulated infeasibility proofs, nogoods, and LP-bound memos of
-// earlier ones — same answers, fewer nodes. See DESIGN.md §5.
+// accumulated infeasibility proofs and nogoods of earlier ones — same
+// answers, fewer nodes. See DESIGN.md §5.
 //
 //   thlsd [--socket PATH] [--tcp [PORT]] [--workers N] [--queue N]
 //         [--max-line BYTES] [--engine-pool N] [--warm-dir DIR]
@@ -60,6 +60,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/journal.hpp"
 #include "service/server.hpp"
+#include "util/status.hpp"
+#include "util/strings.hpp"
 
 using namespace ht;
 
@@ -141,43 +143,50 @@ int main(int argc, char** argv) {
   std::string telemetry_path;
   int telemetry_period_ms = 1000;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto need_value = [&]() -> std::string {
-      if (i + 1 >= argc) usage("flag " + flag + " needs a value");
-      return argv[++i];
-    };
-    if (flag == "--socket") {
-      config.unix_path = need_value();
-    } else if (flag == "--tcp") {
-      config.tcp = true;
-      // Optional port operand; 0 / absent asks the kernel for one.
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        config.tcp_port = std::stoi(argv[++i]);
+  // Malformed numeric flag values surface as util::SpecError.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      auto need_value = [&]() -> std::string {
+        if (i + 1 >= argc) usage("flag " + flag + " needs a value");
+        return argv[++i];
+      };
+      if (flag == "--socket") {
+        config.unix_path = need_value();
+      } else if (flag == "--tcp") {
+        config.tcp = true;
+        // Optional port operand; 0 / absent asks the kernel for one.
+        if (i + 1 < argc && argv[i + 1][0] != '-') {
+          config.tcp_port = util::parse_number<int>(argv[++i], flag);
+        }
+      } else if (flag == "--workers") {
+        config.service.workers = util::parse_number<int>(need_value(), flag);
+      } else if (flag == "--queue") {
+        config.service.queue_capacity = static_cast<std::size_t>(
+            util::parse_number<unsigned long long>(need_value(), flag));
+      } else if (flag == "--max-line") {
+        config.max_line_bytes = static_cast<std::size_t>(
+            util::parse_number<unsigned long long>(need_value(), flag));
+      } else if (flag == "--engine-pool") {
+        config.service.engine_pool =
+            util::parse_number<int>(need_value(), flag);
+      } else if (flag == "--warm-dir") {
+        warm_dir = need_value();
+      } else if (flag == "--journal") {
+        journal_path = need_value();
+      } else if (flag == "--flight-dir") {
+        flight_dir = need_value();
+      } else if (flag == "--telemetry") {
+        telemetry_path = need_value();
+      } else if (flag == "--telemetry-period-ms") {
+        telemetry_period_ms = util::parse_number<int>(need_value(), flag);
+      } else {
+        usage("unknown flag " + flag);
       }
-    } else if (flag == "--workers") {
-      config.service.workers = std::stoi(need_value());
-    } else if (flag == "--queue") {
-      config.service.queue_capacity =
-          static_cast<std::size_t>(std::stoull(need_value()));
-    } else if (flag == "--max-line") {
-      config.max_line_bytes =
-          static_cast<std::size_t>(std::stoull(need_value()));
-    } else if (flag == "--engine-pool") {
-      config.service.engine_pool = std::stoi(need_value());
-    } else if (flag == "--warm-dir") {
-      warm_dir = need_value();
-    } else if (flag == "--journal") {
-      journal_path = need_value();
-    } else if (flag == "--flight-dir") {
-      flight_dir = need_value();
-    } else if (flag == "--telemetry") {
-      telemetry_path = need_value();
-    } else if (flag == "--telemetry-period-ms") {
-      telemetry_period_ms = std::stoi(need_value());
-    } else {
-      usage("unknown flag " + flag);
     }
+  } catch (const util::Error& error) {
+    std::fprintf(stderr, "thlsd: %s\n", error.what());
+    return 1;
   }
   if (config.unix_path.empty() && !config.tcp) {
     usage("nothing to listen on (--socket \"\" and no --tcp)");
